@@ -29,27 +29,28 @@ util::Status RequestScheduler::PostImpl(uint64_t key,
   if (util::FailpointTriggered("server/enqueue", key)) {
     return util::FailpointError("server/enqueue");
   }
-  bool start_runner = false;
+  bool created = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Strand& strand = strands_[key];
+    // A strand exists exactly while its runner is live: creating one here
+    // starts that runner.
+    auto it = strands_.find(key);
+    if (it == strands_.end()) {
+      it = strands_.emplace(key, std::deque<std::function<void()>>()).first;
+      created = true;
+    }
+    std::deque<std::function<void()>>& queue = it->second;
     if (bounded && max_queue_per_strand_ != 0 &&
-        strand.queue.size() >= max_queue_per_strand_) {
+        queue.size() >= max_queue_per_strand_) {
       return util::Status::Unavailable(
           "SERVER_BUSY: session " + std::to_string(key) + " has " +
-          std::to_string(strand.queue.size()) +
-          " queued requests (bound " +
+          std::to_string(queue.size()) + " queued requests (bound " +
           std::to_string(max_queue_per_strand_) + "); retry with backoff");
     }
-    strand.queue.push_back(std::move(task));
+    queue.push_back(std::move(task));
     ++pending_;
-    if (!strand.running) {
-      strand.running = true;
-      ++runners_;
-      start_runner = true;
-    }
   }
-  if (start_runner) {
+  if (created) {
     pool_->Submit([this, key] { RunStrand(key); });
   }
   return util::Status::OK();
@@ -60,14 +61,16 @@ void RequestScheduler::RunStrand(uint64_t key) {
     std::function<void()> task;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      Strand& strand = strands_[key];
-      if (strand.queue.empty()) {
-        strand.running = false;
-        if (--runners_ == 0 && pending_ == 0) idle_cv_.notify_all();
+      auto it = strands_.find(key);
+      if (it->second.empty()) {
+        // The runner exits and takes its strand along; the next Post
+        // recreates it. Keeping it would leak one entry per closed session.
+        strands_.erase(it);
+        if (strands_.empty() && pending_ == 0) idle_cv_.notify_all();
         return;
       }
-      task = std::move(strand.queue.front());
-      strand.queue.pop_front();
+      task = std::move(it->second.front());
+      it->second.pop_front();
     }
     task();
     {
@@ -79,12 +82,17 @@ void RequestScheduler::RunStrand(uint64_t key) {
 
 void RequestScheduler::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0 && runners_ == 0; });
+  idle_cv_.wait(lock, [this] { return pending_ == 0 && strands_.empty(); });
 }
 
 size_t RequestScheduler::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_;
+}
+
+size_t RequestScheduler::strand_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return strands_.size();
 }
 
 }  // namespace deepaqp::server

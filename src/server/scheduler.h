@@ -20,8 +20,9 @@ namespace deepaqp::server {
 /// Session object is posted to its strand.
 ///
 /// A strand never occupies a pool thread while idle: the runner task drains
-/// the strand's queue and exits, and the next Post re-submits. Tasks must
-/// not block on other strands' work (the underlying pool requirement).
+/// the strand's queue and exits, dropping the strand, and the next Post
+/// re-creates it and re-submits. Tasks must not block on other strands'
+/// work (the underlying pool requirement).
 class RequestScheduler {
  public:
   /// Uses `pool` for execution; with nullptr the process-global pool is
@@ -57,12 +58,11 @@ class RequestScheduler {
   /// Tasks currently queued or running (observability).
   size_t pending() const;
 
- private:
-  struct Strand {
-    std::deque<std::function<void()>> queue;
-    bool running = false;
-  };
+  /// Strands currently holding queued or running work. A strand is dropped
+  /// as soon as its queue drains, so idle and closed sessions hold none.
+  size_t strand_count() const;
 
+ private:
   void RunStrand(uint64_t key);
   util::Status PostImpl(uint64_t key, std::function<void()> task,
                         bool bounded);
@@ -71,13 +71,12 @@ class RequestScheduler {
   size_t max_queue_per_strand_;
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
-  std::map<uint64_t, Strand> strands_;
+  /// Queued tasks per key. An entry exists exactly while the key's runner
+  /// task is on the pool; the runner erases it when the queue drains. So
+  /// WaitIdle waits for an empty map, not only for pending_ == 0: a runner
+  /// that just ran its last task still touches this object on its way out.
+  std::map<uint64_t, std::deque<std::function<void()>>> strands_;
   size_t pending_ = 0;
-  /// Strand runner tasks currently on the pool. WaitIdle waits for these
-  /// too: a runner that just drained its queue still touches this object on
-  /// its way out, so "no pending tasks" alone would let the destructor
-  /// free state under a live runner.
-  size_t runners_ = 0;
 };
 
 }  // namespace deepaqp::server

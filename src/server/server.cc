@@ -25,6 +25,16 @@ util::Status SessionMissing(uint64_t session_id) {
       "session " + std::to_string(session_id) + " failed to initialize");
 }
 
+/// A client-requested pool size (`field` = `value` rows) must not exceed
+/// the server's cap.
+util::Status CheckSessionSize(const char* field, uint64_t value,
+                              uint64_t cap) {
+  if (value <= cap) return util::Status::OK();
+  return util::Status::InvalidArgument(
+      std::string(field) + " " + std::to_string(value) +
+      " exceeds the server cap of " + std::to_string(cap) + " rows");
+}
+
 util::Status ShuttingDown() {
   return util::Status::Unavailable(
       "SHUTTING_DOWN: server is draining; no new work accepted");
@@ -122,6 +132,18 @@ void AqpServer::HandleOpenSession(const ClientMessage& message,
             "retry with backoff")));
     return;
   }
+  // Server policy bounds the pool a session may ask for: a client-chosen
+  // size above the server's own cap is rejected before any state exists.
+  const uint64_t cap = options_.client.max_samples;
+  util::Status sized =
+      CheckSessionSize("initial_samples", message.initial_samples, cap);
+  if (sized.ok()) {
+    sized = CheckSessionSize("max_samples", message.max_samples, cap);
+  }
+  if (!sized.ok()) {
+    sink->Deliver(MakeError(0, 0, sized));
+    return;
+  }
   auto snapshot = registry_.Get(message.model_name);
   if (!snapshot.ok()) {
     sink->Deliver(MakeError(0, 0, snapshot.status()));
@@ -198,17 +220,21 @@ void AqpServer::ScheduleStep(uint64_t session_id,
       state->Send(MakeError(session_id, 0, SessionMissing(session_id)));
       return;
     }
+    // Each frame is delivered as the session produces it, so the client
+    // holds an estimate while the strand grows the pool for the next one.
     std::vector<ServerMessage> errors;
-    std::vector<DataFrame> frames = state->session->Step(registry_, &errors);
+    state->session->Step(
+        registry_,
+        [&state, session_id](DataFrame frame) {
+          ServerMessage msg;
+          msg.kind = ServerMessageKind::kData;
+          msg.session = session_id;
+          msg.channel = frame.channel;
+          msg.data = std::move(frame);
+          state->Send(msg);
+        },
+        &errors);
     for (const ServerMessage& e : errors) state->Send(e);
-    for (DataFrame& frame : frames) {
-      ServerMessage msg;
-      msg.kind = ServerMessageKind::kData;
-      msg.session = state->session->id();
-      msg.channel = frame.channel;
-      msg.data = std::move(frame);
-      state->Send(msg);
-    }
     state->open_streams.store(state->session->open_streams(),
                               std::memory_order_relaxed);
     // No self-repost: after one step every stream is either window-full,

@@ -50,7 +50,8 @@ class AqpServer {
  public:
   struct Options {
     /// Per-session client defaults; non-zero OpenSession fields override
-    /// individual knobs. Sessions that do not pin a seed share `client.seed`
+    /// individual knobs. `client.max_samples` is also the server's cap: an
+    /// open asking for more initial or maximum rows gets InvalidArgument. Sessions that do not pin a seed share `client.seed`
     /// and therefore produce identical sample pools — the determinism the
     /// multi-session bit-identity tests pin down.
     vae::AqpClient::Options client;

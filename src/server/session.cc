@@ -6,6 +6,16 @@
 
 namespace deepaqp::server {
 
+namespace {
+
+/// Hands every frame `producer` has due (never-sent or resend-due) to
+/// `emit`.
+void Transmit(ChannelProducer& producer, const Session::FrameSink& emit) {
+  for (DataFrame& frame : producer.PollSend()) emit(std::move(frame));
+}
+
+}  // namespace
+
 Session::Session(uint64_t id, std::string model_name,
                  std::shared_ptr<const ModelSnapshot> snapshot,
                  const vae::AqpClient::Options& client_options,
@@ -46,9 +56,8 @@ bool Session::HasWork() const {
   return false;
 }
 
-std::vector<DataFrame> Session::Step(const ModelRegistry& registry,
-                                     std::vector<ServerMessage>* errors) {
-  std::vector<DataFrame> out;
+void Session::Step(const ModelRegistry& registry, const FrameSink& emit,
+                   std::vector<ServerMessage>* errors) {
   for (;;) {
     // Hot-swap probe: the registry may have installed a newer version of
     // our model. Only act on it at a stream boundary — no open stream has
@@ -98,6 +107,9 @@ std::vector<DataFrame> Session::Step(const ModelRegistry& registry,
           dropped = true;
           break;
         }
+        // Answer first: the estimate leaves now, and the pool doubling it
+        // left pending is paid by the next refinement, not before this send.
+        Transmit(front.producer, emit);
       }
       // A live front stream (window-full, or exhausted and waiting for acks)
       // blocks later streams — per-session queries refine strictly in order.
@@ -105,8 +117,9 @@ std::vector<DataFrame> Session::Step(const ModelRegistry& registry,
       if (!dropped) break;
     }
 
-    // Collect due transmissions (new frames and retransmits) from every open
-    // stream, and retire streams whose final frame is fully acknowledged.
+    // Transmit due retransmissions (timeouts, NACK gaps, resume replays)
+    // of every open stream, and retire streams whose final frame is fully
+    // acknowledged.
     for (auto it = streams_.begin(); it != streams_.end();) {
       if (it->producer.failed()) {
         if (errors != nullptr) {
@@ -115,9 +128,7 @@ std::vector<DataFrame> Session::Step(const ModelRegistry& registry,
         it = streams_.erase(it);
         continue;
       }
-      std::vector<DataFrame> frames = it->producer.PollSend();
-      out.insert(out.end(), std::make_move_iterator(frames.begin()),
-                 std::make_move_iterator(frames.end()));
+      Transmit(it->producer, emit);
       if (it->producer.complete()) {
         it = streams_.erase(it);
       } else {
@@ -135,7 +146,6 @@ std::vector<DataFrame> Session::Step(const ModelRegistry& registry,
     const QueryStream& front = streams_.front();
     if (front.exhausted || !front.producer.CanPush()) break;
   }
-  return out;
 }
 
 void Session::ReplayUnacked() {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,9 +22,11 @@ namespace deepaqp::server {
 /// access on the session's strand.
 ///
 /// Queries are precision-on-demand streams: StartQuery opens a channel and
-/// Step() pushes one refining estimate per call while the channel window
-/// has room, so a slow consumer (unacked frames) pauses estimate generation
-/// instead of buffering unboundedly. Streams of one session execute
+/// Step() pushes refining estimates while the channel window has room, so a
+/// slow consumer (unacked frames) pauses estimate generation instead of
+/// buffering unboundedly. Each estimate is handed to the caller's sink
+/// before the pool grows for the next one, so the first estimate leaves
+/// after one answer on the initial pool. Streams of one session execute
 /// strictly in submission order — a later query starts refining only after
 /// the earlier stream pushed its final estimate, which keeps the pool
 /// growth trajectory (and therefore every estimate) bit-identical to a
@@ -52,6 +55,9 @@ class Session {
   /// (re)transmit — i.e. another Step is worth scheduling.
   bool HasWork() const;
 
+  /// Receives every DATA frame a Step transmits, fresh or retransmitted.
+  using FrameSink = std::function<void(DataFrame)>;
+
   /// One cooperative scheduling step:
   ///  1. Registry staleness probe: at a stream boundary (no open stream has
   ///     emitted an estimate yet) a version bump hot-swaps the session's
@@ -61,14 +67,17 @@ class Session {
   ///     pool_rows/precision trajectory; the old refcounted snapshot serves
   ///     until the stream retires.
   ///  2. The front stream computes refinements while its window has room.
-  ///  3. Due frames of every open stream are collected for transmission.
-  /// Steps repeat while retirement promotes a fresh front stream, so a
-  /// pipelined query starts refining in the same step that completed its
-  /// predecessor (no client event would arrive to trigger another step).
-  /// Returns the frames to send; failed streams are reported through
-  /// `errors` (one ServerMessage::kError each) and dropped.
-  std::vector<DataFrame> Step(const ModelRegistry& registry,
-                              std::vector<ServerMessage>* errors);
+  ///     Each estimate goes to `emit` as soon as its Push succeeds, before
+  ///     the next refinement pays for the pool doubling; its pool_rows is
+  ///     the row count the estimate was computed on.
+  ///  3. Due retransmissions of every open stream go to `emit`.
+  /// `emit` is the only way frames leave a Step. Steps repeat while
+  /// retirement promotes a fresh front stream, so a pipelined query starts
+  /// refining in the same step that completed its predecessor (no client
+  /// event would arrive to trigger another step). Failed streams are
+  /// reported through `errors` (one ServerMessage::kError each) and dropped.
+  void Step(const ModelRegistry& registry, const FrameSink& emit,
+            std::vector<ServerMessage>* errors);
 
   /// Routes an acknowledgment to its stream (advancing the logical clock;
   /// retransmission timeouts are measured in received-ack events, not wall

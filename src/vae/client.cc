@@ -96,6 +96,7 @@ void AqpClient::SwapModel(std::shared_ptr<const VaeAqpModel> model) {
   // bit-identical (the contract server_session_test pins down).
   rng_ = util::Rng(options_.seed);
   pool_ = relation::Table(model_->tuple_encoder().schema());
+  growth_pending_ = false;
   filter_cache_.clear();
   agg_cache_.clear();
   cache_stats_.filter_entries = 0;
@@ -127,6 +128,10 @@ util::Result<aqp::QueryResult> AqpClient::Query(const std::string& sql) {
 
 util::Result<aqp::QueryResult> AqpClient::Query(
     const aqp::AggregateQuery& query) {
+  if (growth_pending_) {
+    growth_pending_ = false;
+    GrowPool(pool_.num_rows() * 2);
+  }
   util::Result<aqp::QueryResult> result =
       aqp::ActiveEngine() != aqp::EngineKind::kVector
           // Scalar escape hatch: plain full scans, no cache.
@@ -220,8 +225,10 @@ util::Result<aqp::QueryResult> AqpClient::QueryRefineStep(
     *final = true;
     return result;
   }
+  // Answer first: the doubling waits for the next Query, so this estimate
+  // can reach the caller before any row of the larger pool is generated.
   *final = false;
-  GrowPool(pool_.num_rows() * 2);
+  growth_pending_ = true;
   return result;
 }
 

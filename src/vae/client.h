@@ -72,7 +72,8 @@ class AqpClient {
   /// Answers a SQL-text query (see aqp::ParseSql for the dialect).
   util::Result<aqp::QueryResult> Query(const std::string& sql);
 
-  /// Answers an already-built query AST.
+  /// Answers an already-built query AST. A doubling left pending by a
+  /// non-final QueryRefineStep is applied first.
   util::Result<aqp::QueryResult> Query(const aqp::AggregateQuery& query);
 
   /// Answers, growing the sample pool (up to options.max_samples) until
@@ -84,10 +85,15 @@ class AqpClient {
   /// QueryWithMaxRelativeCi, exposed so a server can stream every
   /// intermediate estimate instead of only the final one. Answers `query`
   /// on the current pool; when some group's relative CI still exceeds
-  /// `max_relative_ci` and the pool can grow, doubles the pool so the next
-  /// call refines further and sets *final = false; otherwise *final = true.
+  /// `max_relative_ci` and the pool can grow, sets *final = false and marks
+  /// a pool doubling pending; otherwise *final = true. The doubling is paid
+  /// by the next Query (the next refinement step included), not by this
+  /// call, so a caller can ship this estimate before the pool grows, and a
+  /// stream abandoned after this step never generates rows it will not use.
+  /// On return pool_size() is the row count this estimate was computed on.
   /// Calling QueryRefineStep until *final yields exactly the
-  /// QueryWithMaxRelativeCi trajectory (same pool growth, same answers).
+  /// QueryWithMaxRelativeCi trajectory (same pool growth, same rng draws,
+  /// same answers).
   util::Result<aqp::QueryResult> QueryRefineStep(
       const aqp::AggregateQuery& query, double max_relative_ci, bool* final);
 
@@ -109,7 +115,8 @@ class AqpClient {
 
   const CacheStats& cache_stats() const { return cache_stats_; }
 
-  /// Current pool size (grows monotonically).
+  /// Current pool size (grows monotonically): the rows the last estimate
+  /// was computed on. A pending doubling is not counted until applied.
   size_t pool_size() const { return pool_.num_rows(); }
 
   /// The pool itself (e.g., to hand to visualization code).
@@ -160,6 +167,9 @@ class AqpClient {
   double t_;
   util::Rng rng_;
   relation::Table pool_;
+  /// Set by a non-final QueryRefineStep: the next Query doubles the pool
+  /// before answering. Cleared by that Query and by SwapModel.
+  bool growth_pending_ = false;
   std::map<std::string, FilterCacheEntry> filter_cache_;
   std::map<std::string, AggCacheEntry> agg_cache_;
   CacheStats cache_stats_;

@@ -332,7 +332,11 @@ TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
   ASSERT_TRUE(session.StartQuery(7, spec.sql, spec.max_relative_ci).ok());
 
   std::vector<ServerMessage> errors;
-  std::vector<DataFrame> frames = session.Step(registry, &errors);
+  std::vector<DataFrame> frames;
+  const Session::FrameSink collect = [&frames](DataFrame frame) {
+    frames.push_back(std::move(frame));
+  };
+  session.Step(registry, collect, &errors);
   ASSERT_TRUE(errors.empty());
   ASSERT_FALSE(frames.empty());
 
@@ -346,12 +350,13 @@ TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
   int rounds = 0;
   while (!consumer.finished() && rounds++ < 1000) {
     for (const DataFrame& f : frames) consumer.OnData(f);
+    frames.clear();
     for (auto& p : consumer.TakeDelivered()) payloads.push_back(std::move(p));
     if (!consumer.finished()) {
       EXPECT_EQ(session.model_swaps(), 0u);  // deferred while mid-stream
     }
     session.HandleAck(consumer.MakeAck());
-    frames = session.Step(registry, &errors);
+    session.Step(registry, collect, &errors);
     ASSERT_TRUE(errors.empty());
   }
   ASSERT_TRUE(consumer.finished());
@@ -366,10 +371,99 @@ TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
   }
   // With the stream retired, the next step is a boundary: the deferred swap
   // lands and resets the client.
-  session.Step(registry, &errors);
+  session.Step(registry, collect, &errors);
   EXPECT_TRUE(errors.empty());
   EXPECT_EQ(session.model_swaps(), 1u);
   EXPECT_EQ(session.model_version(), 2u);
+}
+
+TEST(ServerSessionTest, EachEstimateLeavesBeforeThePoolGrows) {
+  EngineGuard guard;
+  ModelRegistry registry;
+  auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
+  ASSERT_TRUE(model.ok());
+  registry.Install("taxi", std::move(*model));
+  auto snap = registry.Get("taxi");
+  ASSERT_TRUE(snap.ok());
+  Session session(1, "taxi", *snap, ClientOptions(),
+                  ChannelProducer::Options{});
+  // A target no pool below the cap meets: the stream refines to max_samples.
+  const QuerySpec spec = {DefaultQueries()[0].sql, 1e-4};
+  ASSERT_TRUE(session.StartQuery(7, spec.sql, spec.max_relative_ci).ok());
+
+  // The sink runs at the moment of each emit, so the session's pool at that
+  // moment is the one the frame's estimate was computed on: no doubling has
+  // been paid for yet. Every frame is acked before the next step, so no
+  // retransmit (which would carry an older pool_rows) is ever due.
+  std::vector<uint64_t> pool_at_emit;
+  std::vector<uint64_t> stamped;
+  std::vector<DataFrame> frames;
+  const Session::FrameSink sink = [&](DataFrame frame) {
+    auto est = DecodeEstimate(frame.payload);
+    ASSERT_TRUE(est.ok());
+    pool_at_emit.push_back(session.client().pool_size());
+    stamped.push_back(est->pool_rows);
+    frames.push_back(std::move(frame));
+  };
+  ChannelConsumer consumer(7);
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<ServerMessage> errors;
+  for (int rounds = 0; !consumer.finished() && rounds < 1000; ++rounds) {
+    session.Step(registry, sink, &errors);
+    ASSERT_TRUE(errors.empty());
+    for (const DataFrame& f : frames) consumer.OnData(f);
+    frames.clear();
+    for (auto& p : consumer.TakeDelivered()) payloads.push_back(std::move(p));
+    session.HandleAck(consumer.MakeAck());
+  }
+  ASSERT_TRUE(consumer.finished());
+
+  EXPECT_EQ(payloads, ReferenceStream(ModelBytes(), {spec}));
+  ASSERT_GT(stamped.size(), 2u);  // the stream refined
+  EXPECT_EQ(pool_at_emit, stamped);
+  EXPECT_EQ(stamped.front(), ClientOptions().initial_samples);
+  EXPECT_EQ(stamped.back(), ClientOptions().max_samples);
+  for (size_t i = 1; i < stamped.size(); ++i) {
+    EXPECT_EQ(stamped[i], 2 * stamped[i - 1]) << "frame " << i;
+  }
+}
+
+TEST(ServerSessionTest, OversizedOpenIsRejectedBeforeAnySessionExists) {
+  EngineGuard guard;
+  AqpServer server(ServerOptions());
+  auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
+  ASSERT_TRUE(model.ok());
+  server.registry().Install("taxi", std::move(*model));
+  auto pipe = std::make_shared<PipeTransport>();
+  const uint64_t cap = ServerOptions().client.max_samples;
+
+  for (auto [initial, max] : {std::pair<uint64_t, uint64_t>{1ull << 40, 0},
+                              {0, 1ull << 40},
+                              {cap + 1, 0},
+                              {0, cap + 1}}) {
+    ClientMessage open;
+    open.kind = ClientMessageKind::kOpenSession;
+    open.model_name = "taxi";
+    open.initial_samples = initial;
+    open.max_samples = max;
+    server.Handle(open, pipe);
+    ServerMessage reply = pipe->Pop();
+    ASSERT_EQ(reply.kind, ServerMessageKind::kError);
+    EXPECT_EQ(reply.code,
+              static_cast<int32_t>(util::StatusCode::kInvalidArgument))
+        << reply.message;
+    EXPECT_EQ(server.num_sessions(), 0u);
+    EXPECT_EQ(server.scheduler_pending(), 0u);
+  }
+
+  // Exactly the cap is legal.
+  ClientMessage open;
+  open.kind = ClientMessageKind::kOpenSession;
+  open.model_name = "taxi";
+  open.max_samples = cap;
+  server.Handle(open, pipe);
+  EXPECT_EQ(pipe->Pop().kind, ServerMessageKind::kSessionOpened);
+  EXPECT_EQ(server.num_sessions(), 1u);
 }
 
 TEST(ServerSessionTest, HotSwapResetsSessionCacheAndMatchesFreshClient) {
@@ -642,6 +736,30 @@ TEST(ServerSessionTest, SchedulerQueueBoundShedsWithServerBusy) {
   release.set_value();
   scheduler.WaitIdle();
   EXPECT_EQ(ran.load(), 5);  // everything accepted ran; the shed task never did
+}
+
+TEST(ServerSessionTest, SchedulerDropsStrandsOfClosedSessions) {
+  util::ThreadPool pool(2);
+  RequestScheduler scheduler(&pool);
+  // Each key lives as a session does: an open task, some work, a close.
+  std::atomic<int> ran{0};
+  for (uint64_t key = 1; key <= 1000; ++key) {
+    for (int task = 0; task < 3; ++task) {
+      ASSERT_TRUE(scheduler.Post(key, [&] { ++ran; }).ok());
+    }
+  }
+  scheduler.WaitIdle();
+  EXPECT_EQ(ran.load(), 3000);
+  EXPECT_EQ(scheduler.strand_count(), 0u);
+
+  // A key whose strand was dropped still runs new work in order.
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(scheduler.Post(1, [&order, i] { order.push_back(i); }).ok());
+  }
+  scheduler.WaitIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(scheduler.strand_count(), 0u);
 }
 
 }  // namespace

@@ -2,13 +2,18 @@
 // must evaluate only the newly generated suffix rows, yet return results
 // byte-identical to a cold-cache (scalar-engine) client at the same seed.
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "aqp/engine.h"
 #include "aqp/estimator.h"
 #include "data/generators.h"
+#include "relation/table.h"
+#include "util/rng.h"
 #include "vae/client.h"
 
 namespace deepaqp {
@@ -229,6 +234,86 @@ TEST(ClientCacheTest, GroupByGrowthHandlesNewGroupCodes) {
   auto reference = aqp::EstimateFromSample(q, (*client)->pool(), 4000);
   ASSERT_TRUE(reference.ok());
   ExpectBitIdentical(*grown, *reference, "group-by growth");
+}
+
+/// The growth path every refinement follows: the initial pool, then one
+/// doubling per non-final step, all drawn in order from one rng stream
+/// seeded with options.seed. Entry i is the pool refinement step i answers
+/// on; the list stops at max_samples.
+std::vector<relation::Table> GrowthPath(const vae::VaeAqpModel& model,
+                                        const vae::AqpClient::Options& o) {
+  util::Rng rng(o.seed);
+  std::vector<relation::Table> path;
+  path.push_back(model.Generate(o.initial_samples, model.default_t(), rng));
+  while (path.back().num_rows() < o.max_samples) {
+    relation::Table next = path.back();
+    const size_t target = std::min(2 * next.num_rows(), o.max_samples);
+    EXPECT_TRUE(next.Append(model.Generate(target - next.num_rows(),
+                                           model.default_t(), rng))
+                    .ok());
+    path.push_back(std::move(next));
+  }
+  return path;
+}
+
+TEST(ClientCacheTest, RefineStepAnswersBeforeGrowing) {
+  EngineGuard guard;
+  auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
+  ASSERT_TRUE(model.ok());
+  const std::vector<relation::Table> path = GrowthPath(**model, ClientOptions());
+  ASSERT_EQ(path.size(), 5u);  // 400 .. 6400
+
+  auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
+  ASSERT_TRUE(client.ok());
+  const aqp::AggregateQuery q = FilteredAvg(**client);
+  // An unreachable target: every step below the cap is non-final.
+  for (size_t i = 0; i < path.size(); ++i) {
+    const size_t before = (*client)->pool_size();
+    bool final = false;
+    auto step = (*client)->QueryRefineStep(q, 1e-9, &final);
+    ASSERT_TRUE(step.ok());
+    // The step answered on the pool it found (the previous step's doubling
+    // applied first) and left its own doubling pending.
+    EXPECT_EQ((*client)->pool_size(), path[i].num_rows()) << "step " << i;
+    EXPECT_EQ(before, i == 0 ? path[0].num_rows() : path[i - 1].num_rows());
+    EXPECT_EQ(final, i + 1 == path.size());
+    auto expect = aqp::EstimateFromSample(q, path[i], 4000);
+    ASSERT_TRUE(expect.ok());
+    ExpectBitIdentical(*step, *expect, "step " + std::to_string(i));
+  }
+
+  // The one-shot loop walks the same path to the same bytes.
+  auto fresh = vae::AqpClient::Open(ModelBytes(), ClientOptions());
+  ASSERT_TRUE(fresh.ok());
+  auto whole = (*fresh)->QueryWithMaxRelativeCi(q, 1e-9);
+  ASSERT_TRUE(whole.ok());
+  auto expect = aqp::EstimateFromSample(q, path.back(), 4000);
+  ASSERT_TRUE(expect.ok());
+  ExpectBitIdentical(*whole, *expect, "QueryWithMaxRelativeCi");
+  EXPECT_EQ((*fresh)->pool_size(), path.back().num_rows());
+}
+
+TEST(ClientCacheTest, ModelSwapDropsPendingGrowth) {
+  EngineGuard guard;
+  auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
+  ASSERT_TRUE(client.ok());
+  const aqp::AggregateQuery q = FilteredAvg(**client);
+  bool final = true;
+  ASSERT_TRUE((*client)->QueryRefineStep(q, 1e-9, &final).ok());
+  ASSERT_FALSE(final);  // a doubling is pending
+
+  auto model_b = vae::VaeAqpModel::Deserialize(SwappedModelBytes());
+  ASSERT_TRUE(model_b.ok());
+  (*client)->SwapModel(std::move(*model_b));
+  auto swapped = (*client)->Query(q);
+  ASSERT_TRUE(swapped.ok());
+  EXPECT_EQ((*client)->pool_size(), 400u);  // nothing grew on the new model
+
+  auto fresh = vae::AqpClient::Open(SwappedModelBytes(), ClientOptions());
+  ASSERT_TRUE(fresh.ok());
+  auto fresh_result = (*fresh)->Query(q);
+  ASSERT_TRUE(fresh_result.ok());
+  ExpectBitIdentical(*swapped, *fresh_result, "post-swap query");
 }
 
 }  // namespace

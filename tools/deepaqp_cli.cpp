@@ -395,7 +395,12 @@ int ServeText(server::AqpServer& srv) {
       close.kind = server::ClientMessageKind::kCloseSession;
       close.session = std::strtoull(input.c_str() + 6, nullptr, 10);
       srv.Handle(close, pipe);
-      server::ServerMessage reply = pipe->Pop();
+      // Spurious retransmits of the last stream may still be queued ahead
+      // of the confirmation; the consumer already has those frames.
+      server::ServerMessage reply;
+      do {
+        reply = pipe->Pop();
+      } while (reply.kind == server::ServerMessageKind::kData);
       std::printf("%s\n",
                   reply.kind == server::ServerMessageKind::kSessionClosed
                       ? "closed"
@@ -420,7 +425,10 @@ int ServeText(server::AqpServer& srv) {
       query.max_relative_ci = ci;
       srv.Handle(query, pipe);
 
-      server::ServerMessage first = pipe->Pop();
+      server::ServerMessage first;
+      do {
+        first = pipe->Pop();  // skipping stale frames of an earlier stream
+      } while (first.kind == server::ServerMessageKind::kData);
       if (first.kind != server::ServerMessageKind::kQueryStarted) {
         std::printf("error: %s\n", first.message.c_str());
         continue;
