@@ -6,7 +6,7 @@
 //
 //   ./bench_fig13_sampling_time [--rows 15000] [--epochs 10]
 //                               [--max_samples 100000] [--json]
-//                               [--kernel naive|blocked|simd|auto]
+//                               [--kernel blocked|simd|auto]
 //                               [--quant off|fp16|int8|all]
 //
 // --json additionally writes BENCH_fig13.json with one uniform record per

@@ -4,7 +4,7 @@
 // records (name, shape, ns/op, GFLOP/s, threads) of bench_common.h:
 //
 //   ./bench_micro [--json] [--quick] [--threads N]
-//                 [--kernel naive|blocked|simd|auto]
+//                 [--kernel blocked|simd|auto]
 //
 // --json writes BENCH_micro.json for the CI perf archive.
 

@@ -1,10 +1,12 @@
 // Query-engine throughput tracking: the vectorized selection/aggregation
-// engine vs the scalar row-at-a-time path, on the exact operations the AQP
-// layer runs per query — selectivity scans, exact filtered aggregates,
-// GROUP BY estimates with CLT intervals, and bootstrap CIs over a 200k-row
-// sample pool. Doubles as the CI correctness gate: every timed case plus a
-// generated verification workload is executed under both engines and the
-// binary exits nonzero unless results are bit-identical.
+// engine vs the row-at-a-time oracle (tests/aqp_reference.h), on the exact
+// operations the AQP layer runs per query — selectivity scans, exact
+// filtered aggregates, GROUP BY estimates with CLT intervals, and bootstrap
+// CIs over a 200k-row sample pool. The `*_scalar` rows time the oracle, the
+// `*_vector` rows the engine. Doubles as the CI correctness gate: every
+// timed case plus a generated verification workload runs through both, and
+// the binary exits nonzero unless the engine's results are bit-identical to
+// the oracle's.
 //
 //   ./bench_query_engine [--json] [--quick] [--rows N] [--resamples N]
 //                        [--queries N] [--threads N]
@@ -21,9 +23,9 @@
 #include "bench_common.h"
 
 #include "aqp/bootstrap.h"
-#include "aqp/engine.h"
 #include "aqp/estimator.h"
 #include "aqp/executor.h"
+#include "aqp_reference.h"
 
 using namespace deepaqp;  // NOLINT: bench brevity
 
@@ -35,7 +37,8 @@ uint64_t Bits(double x) {
   return b;
 }
 
-/// Bit-level comparison of two results; prints the first divergence.
+/// Bit-level comparison of the oracle's result (`scalar`) with the
+/// engine's (`vector`); prints the first divergence.
 bool BitIdentical(const aqp::QueryResult& scalar,
                   const aqp::QueryResult& vector, const std::string& what) {
   if (scalar.groups.size() != vector.groups.size()) {
@@ -57,14 +60,6 @@ bool BitIdentical(const aqp::QueryResult& scalar,
     }
   }
   return true;
-}
-
-template <typename Fn>
-auto WithEngine(aqp::EngineKind kind, Fn&& fn) {
-  aqp::SetEngine(kind);
-  auto result = fn();
-  aqp::SetEngine(aqp::EngineKind::kVector);
-  return result;
 }
 
 }  // namespace
@@ -116,75 +111,70 @@ int main(int argc, char** argv) {
   bool ok = true;
   struct Case {
     const char* name;
-    std::function<aqp::QueryResult()> run;
+    std::function<aqp::QueryResult()> scalar;  // the oracle
+    std::function<aqp::QueryResult()> vector;  // the engine
   };
   aqp::BootstrapOptions bopts;
   bopts.resamples = resamples;
   bopts.seed = 99;
   const std::vector<Case> cases = {
       {"exact_count_filtered",
+       [&] { return *aqp::reference::ExecuteExact(count_query, table); },
        [&] { return *aqp::ExecuteExact(count_query, table); }},
       {"exact_groupby_sum",
+       [&] { return *aqp::reference::ExecuteExact(sum_query, table); },
        [&] { return *aqp::ExecuteExact(sum_query, table); }},
       {"estimate_groupby_avg",
+       [&] {
+         return *aqp::reference::EstimateFromSample(avg_query, table,
+                                                    population);
+       },
        [&] {
          return *aqp::EstimateFromSample(avg_query, table, population);
        }},
       {"bootstrap_groupby_avg",
+       [&] {
+         return *aqp::reference::BootstrapEstimate(avg_query, table,
+                                                   population, bopts);
+       },
        [&] {
          return *aqp::BootstrapEstimate(avg_query, table, population, bopts);
        }},
   };
 
   for (const Case& c : cases) {
-    const aqp::QueryResult scalar =
-        WithEngine(aqp::EngineKind::kScalar, c.run);
-    const aqp::QueryResult vector =
-        WithEngine(aqp::EngineKind::kVector, c.run);
-    ok = BitIdentical(scalar, vector, c.name) && ok;
+    ok = BitIdentical(c.scalar(), c.vector(), c.name) && ok;
 
-    const double ns_scalar = bench::MeasureNsPerOp(
-        [&] { WithEngine(aqp::EngineKind::kScalar, c.run); }, budget);
+    const double ns_scalar = bench::MeasureNsPerOp([&] { c.scalar(); },
+                                                   budget);
     reporter.Add({std::string(c.name) + "_scalar", shape, ns_scalar, 0.0, 1});
-    const double ns_vector = bench::MeasureNsPerOp(
-        [&] { WithEngine(aqp::EngineKind::kVector, c.run); }, budget);
+    const double ns_vector = bench::MeasureNsPerOp([&] { c.vector(); },
+                                                   budget);
     reporter.Add({std::string(c.name) + "_vector", shape, ns_vector, 0.0, 1});
     std::printf("  -> %s speedup %.2fx\n", c.name, ns_scalar / ns_vector);
   }
 
   // Selectivity (the executor's shared selection kernel).
   {
-    const double sel_scalar = WithEngine(aqp::EngineKind::kScalar, [&] {
-      return aqp::Selectivity(count_query, table);
-    });
-    const double sel_vector = WithEngine(aqp::EngineKind::kVector, [&] {
-      return aqp::Selectivity(count_query, table);
-    });
+    const double sel_scalar = aqp::reference::Selectivity(count_query, table);
+    const double sel_vector = aqp::Selectivity(count_query, table);
     if (Bits(sel_scalar) != Bits(sel_vector)) {
       std::fprintf(stderr, "DIVERGED selectivity: %.17g vs %.17g\n",
                    sel_scalar, sel_vector);
       ok = false;
     }
     const double ns_scalar = bench::MeasureNsPerOp(
-        [&] {
-          WithEngine(aqp::EngineKind::kScalar,
-                     [&] { return aqp::Selectivity(count_query, table); });
-        },
-        budget);
+        [&] { aqp::reference::Selectivity(count_query, table); }, budget);
     reporter.Add({"selectivity_scalar", shape, ns_scalar, 0.0, 1});
     const double ns_vector = bench::MeasureNsPerOp(
-        [&] {
-          WithEngine(aqp::EngineKind::kVector,
-                     [&] { return aqp::Selectivity(count_query, table); });
-        },
-        budget);
+        [&] { aqp::Selectivity(count_query, table); }, budget);
     reporter.Add({"selectivity_vector", shape, ns_vector, 0.0, 1});
     std::printf("  -> selectivity speedup %.2fx\n", ns_scalar / ns_vector);
   }
 
   // Built-in verification sweep: a generated workload (grouped, quantile,
-  // multi-condition shapes) through exact, estimate, and bootstrap under
-  // both engines, compared bit-for-bit.
+  // multi-condition shapes) through exact, estimate, and bootstrap on the
+  // engine and the oracle, compared bit-for-bit.
   {
     const relation::Table small =
         bench::MakeDataset("census", quick ? 3000 : 10000, 6);
@@ -201,25 +191,20 @@ int main(int argc, char** argv) {
     for (size_t qi = 0; qi < workload.size(); ++qi) {
       const aqp::AggregateQuery& q = workload[qi];
       const std::string tag = "verify q" + std::to_string(qi);
-      auto exact_s = WithEngine(aqp::EngineKind::kScalar,
-                                [&] { return *aqp::ExecuteExact(q, small); });
-      auto exact_v = WithEngine(aqp::EngineKind::kVector,
-                                [&] { return *aqp::ExecuteExact(q, small); });
-      ok = BitIdentical(exact_s, exact_v, tag + " exact") && ok;
-      auto est_s = WithEngine(aqp::EngineKind::kScalar, [&] {
-        return *aqp::EstimateFromSample(q, small, small.num_rows() * 10);
-      });
-      auto est_v = WithEngine(aqp::EngineKind::kVector, [&] {
-        return *aqp::EstimateFromSample(q, small, small.num_rows() * 10);
-      });
-      ok = BitIdentical(est_s, est_v, tag + " estimate") && ok;
-      auto boot_s = WithEngine(aqp::EngineKind::kScalar, [&] {
-        return *aqp::BootstrapEstimate(q, small, small.num_rows() * 10, vb);
-      });
-      auto boot_v = WithEngine(aqp::EngineKind::kVector, [&] {
-        return *aqp::BootstrapEstimate(q, small, small.num_rows() * 10, vb);
-      });
-      ok = BitIdentical(boot_s, boot_v, tag + " bootstrap") && ok;
+      const size_t population_small = small.num_rows() * 10;
+      ok = BitIdentical(*aqp::reference::ExecuteExact(q, small),
+                        *aqp::ExecuteExact(q, small), tag + " exact") &&
+           ok;
+      ok = BitIdentical(
+               *aqp::reference::EstimateFromSample(q, small, population_small),
+               *aqp::EstimateFromSample(q, small, population_small),
+               tag + " estimate") &&
+           ok;
+      ok = BitIdentical(*aqp::reference::BootstrapEstimate(
+                            q, small, population_small, vb),
+                        *aqp::BootstrapEstimate(q, small, population_small, vb),
+                        tag + " bootstrap") &&
+           ok;
       ++verified;
     }
     std::printf("verification sweep: %zu queries x 3 paths %s\n", verified,

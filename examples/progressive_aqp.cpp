@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
        6.0});
   std::printf("\nConditional generation: age >= 60 AND workclass >= 6\n");
   relation::Table rare_sample =
-      (*model)->GenerateWhere(400, rare, (*model)->default_t(), rng);
+      (*model)->GenerateWhereReport(400, rare, (*model)->default_t(), rng)
+          .rows;
   std::printf("  got %zu conditional tuples\n", rare_sample.num_rows());
   if (rare_sample.num_rows() >= 30) {
     aqp::AggregateQuery rare_q;

@@ -8,10 +8,6 @@
 
 namespace deepaqp::aqp {
 
-namespace {
-constexpr double kZ95 = 1.959963985;
-}  // namespace
-
 OnlineAggregator::OnlineAggregator(AggregateQuery query,
                                    size_t population_rows)
     : query_(std::move(query)), population_rows_(population_rows) {}
@@ -27,31 +23,18 @@ util::Status OnlineAggregator::AddBatch(const relation::Table& batch) {
   const auto mattr = static_cast<size_t>(std::max(query_.measure_attr, 0));
   const size_t n = batch.num_rows();
 
-  if (ActiveEngine() == EngineKind::kVector) {
-    // Filter the whole batch with the selection kernel, then merge only the
-    // matched rows — still in ascending row order, so the running moments
-    // are bit-identical to the scalar per-row loop.
-    SelectionVector sel;
-    EvalPredicate(query_.filter, batch, 0, n, &sel);
-    const int32_t* codes = group_by ? batch.CatColumn(gattr).data() : nullptr;
-    const double* meas = query_.agg == AggFunc::kCount
-                             ? nullptr
-                             : batch.NumColumn(mattr).data();
-    tuples_seen_ += n;
-    for (size_t r = 0; r < n; ++r) {
-      if (!sel.Test(r)) continue;
-      const int32_t key = group_by ? codes[r] : -1;
-      groups_[key].Add(meas == nullptr ? 1.0 : meas[r]);
-    }
-    return util::Status::OK();
-  }
-
+  // Filter the whole batch with the selection kernel, then merge only the
+  // matched rows, in ascending row order.
+  SelectionVector sel;
+  EvalPredicate(query_.filter, batch, 0, n, &sel);
+  const int32_t* codes = group_by ? batch.CatColumn(gattr).data() : nullptr;
+  const double* meas =
+      query_.agg == AggFunc::kCount ? nullptr : batch.NumColumn(mattr).data();
+  tuples_seen_ += n;
   for (size_t r = 0; r < n; ++r) {
-    ++tuples_seen_;
-    if (!query_.filter.Matches(batch, r)) continue;
-    const int32_t key = group_by ? batch.CatCode(r, gattr) : -1;
-    groups_[key].Add(query_.agg == AggFunc::kCount ? 1.0
-                                                   : batch.NumValue(r, mattr));
+    if (!sel.Test(r)) continue;
+    const int32_t key = group_by ? codes[r] : -1;
+    groups_[key].Add(meas == nullptr ? 1.0 : meas[r]);
   }
   return util::Status::OK();
 }
@@ -60,49 +43,11 @@ util::Result<QueryResult> OnlineAggregator::Current() const {
   if (tuples_seen_ == 0) {
     return util::Status::FailedPrecondition("no tuples consumed yet");
   }
-  const double ns = static_cast<double>(tuples_seen_);
-  const double scale = static_cast<double>(population_rows_) / ns;
-  QueryResult result;
-  for (const auto& [key, m] : groups_) {
-    GroupValue g;
-    g.group = key;
-    g.support = m.count;
-    const double k = static_cast<double>(m.count);
-    switch (query_.agg) {
-      case AggFunc::kCount: {
-        g.value = scale * k;
-        const double p = k / ns;
-        g.ci_half_width = scale * kZ95 * std::sqrt(ns * p * (1.0 - p));
-        break;
-      }
-      case AggFunc::kSum: {
-        g.value = scale * m.sum;
-        const double mean_contrib = m.sum / ns;
-        const double var_contrib =
-            std::max(0.0, m.sum_sq / ns - mean_contrib * mean_contrib);
-        g.ci_half_width = scale * kZ95 * std::sqrt(var_contrib * ns);
-        break;
-      }
-      case AggFunc::kAvg: {
-        g.value = m.sum / k;
-        if (m.count >= 2) {
-          const double mean = m.sum / k;
-          const double var = std::max(
-              0.0, (m.sum_sq / k - mean * mean) * k / (k - 1.0));
-          g.ci_half_width = kZ95 * std::sqrt(var / k);
-        }
-        break;
-      }
-      case AggFunc::kQuantile:
-        break;  // rejected in AddBatch
-    }
-    result.groups.push_back(g);
-  }
-  if (!query_.IsGroupBy() && result.groups.empty() &&
-      (query_.agg == AggFunc::kCount || query_.agg == AggFunc::kSum)) {
-    result.groups.push_back(GroupValue{-1, 0.0, 0, 0.0});
-  }
-  return result;
+  std::vector<GroupMoments> groups;
+  groups.reserve(groups_.size());
+  for (const auto& [key, m] : groups_) groups.push_back({key, m, {}});
+  return FinalizeEstimate(query_, std::move(groups), tuples_seen_,
+                          population_rows_);
 }
 
 bool OnlineAggregator::Converged(double target_relative_ci) const {

@@ -1,9 +1,6 @@
 // The compute-kernel layer behind nn::Gemm, nn::ShardedGemmTN, and the
-// fused forward paths. Three implementations sit behind one dispatch:
+// fused forward paths. Two implementations sit behind one dispatch:
 //
-//  * ReferenceGemm (kernels_reference.cc) — the seed repository's
-//    triple-loop kernels, kept verbatim as the correctness oracle and the
-//    `DEEPAQP_KERNEL=naive` escape hatch.
 //  * The blocked kernel (this file) — op(A)/op(B) are expressed as stride
 //    views (which folds all four transpose combinations into one code
 //    path), packed into contiguous panels, and consumed by a register-tiled
@@ -23,7 +20,8 @@
 // blocked kernel's numerics identical on every host — the old -march=native
 // build made them a function of the build machine and could SIGILL on a
 // lesser one. kernels_reference.cc keeps the project-default flags so it
-// reproduces the seed's numerics and throughput exactly.
+// reproduces the seed's numerics and throughput exactly. ReferenceGemm is
+// not dispatchable; tests and bench_kernels call it directly as the oracle.
 
 #include "nn/kernels.h"
 
@@ -139,7 +137,7 @@ GemmKernelKind KindFromEnv() {
   if (!parsed.ok()) {
     std::fprintf(stderr,
                  "DEEPAQP_KERNEL='%s' not recognized "
-                 "(naive|blocked|simd|auto); keeping '%s'\n",
+                 "(blocked|simd|auto); keeping '%s'\n",
                  env, GemmKernelKindName(BestAvailableKernel()));
     return BestAvailableKernel();
   }
@@ -312,8 +310,7 @@ void BlockedGemmDriver(const View& a, const View& b, size_t m, size_t k,
 
 namespace {
 
-/// Routes a packed-panel GEMM to the blocked or simd driver. Callers have
-/// already resolved kNaive separately.
+/// Routes a packed-panel GEMM to the blocked or simd driver.
 inline void PackedGemmDriver(GemmKernelKind kind, const View& a,
                              const View& b, size_t m, size_t k, size_t n,
                              float alpha, bool overwrite, const Epilogue* epi,
@@ -367,8 +364,6 @@ void SetGemmKernel(GemmKernelKind kind) {
 
 const char* GemmKernelKindName(GemmKernelKind kind) {
   switch (kind) {
-    case GemmKernelKind::kNaive:
-      return "naive";
     case GemmKernelKind::kBlocked:
       return "blocked";
     case GemmKernelKind::kSimd:
@@ -379,9 +374,7 @@ const char* GemmKernelKindName(GemmKernelKind kind) {
 
 util::Status ParseGemmKernelKind(std::string_view name,
                                  GemmKernelKind* kind) {
-  if (name == "naive") {
-    *kind = GemmKernelKind::kNaive;
-  } else if (name == "blocked") {
+  if (name == "blocked") {
     *kind = GemmKernelKind::kBlocked;
   } else if (name == "simd") {
     *kind = GemmKernelKind::kSimd;
@@ -390,7 +383,7 @@ util::Status ParseGemmKernelKind(std::string_view name,
   } else {
     return util::Status::InvalidArgument(
         "kernel '" + std::string(name) +
-        "' not recognized (naive|blocked|simd|auto)");
+        "' not recognized (blocked|simd|auto)");
   }
   return util::Status::OK();
 }
@@ -405,12 +398,6 @@ util::Status ApplyKernelFlag(const util::Flags& flags) {
 
 void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
           float alpha, float beta, Matrix* c) {
-  const GemmKernelKind kind = ActiveGemmKernel();
-  if (kind == GemmKernelKind::kNaive) {
-    ReferenceGemm(a, trans_a, b, trans_b, alpha, beta, c);
-    MaybePoisonGemmOutput(c);
-    return;
-  }
   const size_t m = trans_a ? a.cols() : a.rows();
   const size_t k = trans_a ? a.rows() : a.cols();
   const size_t kb = trans_b ? b.cols() : b.rows();
@@ -427,8 +414,8 @@ void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
       for (size_t i = 0; i < c->size(); ++i) c->data()[i] *= beta;
     }
   }
-  PackedGemmDriver(kind, OpView(a, trans_a), OpView(b, trans_b), m, k, n,
-                   alpha, overwrite, nullptr, c->data(), c->cols());
+  PackedGemmDriver(ActiveGemmKernel(), OpView(a, trans_a), OpView(b, trans_b),
+                   m, k, n, alpha, overwrite, nullptr, c->data(), c->cols());
   MaybePoisonGemmOutput(c);
 }
 
@@ -454,25 +441,12 @@ void ShardedGemmTN(const Matrix& a, const Matrix& b, Matrix* c,
     const size_t hi = std::min(batch, lo + shard_rows);
     Matrix& p = partials[s];
     p = Matrix(a.cols(), b.cols());
-    if (kind != GemmKernelKind::kNaive) {
-      // Shard of the TN product as stride views: op(A) = A^T over rows
-      // [lo, hi), i.e. (i, kk) -> A(lo + kk, i); op(B) = B rows [lo, hi).
-      const View av{a.data() + lo * a.cols(), 1, a.cols()};
-      const View bv{b.data() + lo * b.cols(), b.cols(), 1};
-      PackedGemmDriver(kind, av, bv, a.cols(), hi - lo, b.cols(), 1.0f,
-                       /*overwrite=*/true, nullptr, p.data(), p.cols());
-    } else {
-      for (size_t kk = lo; kk < hi; ++kk) {
-        const float* arow = a.Row(kk);
-        const float* brow = b.Row(kk);
-        for (size_t i = 0; i < a.cols(); ++i) {
-          const float av = arow[i];
-          if (av == 0.0f) continue;
-          float* prow = p.Row(i);
-          for (size_t j = 0; j < b.cols(); ++j) prow[j] += av * brow[j];
-        }
-      }
-    }
+    // Shard of the TN product as stride views: op(A) = A^T over rows
+    // [lo, hi), i.e. (i, kk) -> A(lo + kk, i); op(B) = B rows [lo, hi).
+    const View av{a.data() + lo * a.cols(), 1, a.cols()};
+    const View bv{b.data() + lo * b.cols(), b.cols(), 1};
+    PackedGemmDriver(kind, av, bv, a.cols(), hi - lo, b.cols(), 1.0f,
+                     /*overwrite=*/true, nullptr, p.data(), p.cols());
   });
   for (const Matrix& p : partials) Axpy(1.0f, p, c);
 }
@@ -511,31 +485,16 @@ void FusedLinearForward(const Matrix& x, const Matrix& w, const Matrix& bias,
     DEEPAQP_CHECK_EQ(bias.rows(), 1u);
     DEEPAQP_CHECK_EQ(bias.cols(), w.cols());
   }
-  const GemmKernelKind kind = ActiveGemmKernel();
-  if (kind == GemmKernelKind::kNaive) {
-    ReferenceGemm(x, false, w, false, 1.0f, 0.0f, out);
-    if (has_bias) AddRowBroadcast(bias, out);
-    ApplyActivation(act, leaky_slope, out->data(), out->size());
-    MaybePoisonGemmOutput(out);
-    return;
-  }
   out->Resize(x.rows(), w.cols());
   Epilogue epi{has_bias ? bias.data() : nullptr, act, leaky_slope};
-  PackedGemmDriver(kind, OpView(x, false), OpView(w, false), x.rows(),
-                   x.cols(), w.cols(), 1.0f, /*overwrite=*/true, &epi,
-                   out->data(), out->cols());
+  PackedGemmDriver(ActiveGemmKernel(), OpView(x, false), OpView(w, false),
+                   x.rows(), x.cols(), w.cols(), 1.0f, /*overwrite=*/true,
+                   &epi, out->data(), out->cols());
   MaybePoisonGemmOutput(out);
 }
 
 void SigmoidVec(const float* x, float* out, size_t n) {
-  const GemmKernelKind kind = ActiveGemmKernel();
-  if (kind == GemmKernelKind::kNaive) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = 1.0f / (1.0f + std::exp(-x[i]));
-    }
-    return;
-  }
-  if (kind == GemmKernelKind::kSimd) {
+  if (ActiveGemmKernel() == GemmKernelKind::kSimd) {
     internal::SimdSigmoid(x, out, n);
     return;
   }

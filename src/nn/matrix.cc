@@ -47,7 +47,7 @@ util::Result<Matrix> Matrix::Deserialize(util::ByteReader& r) {
 }
 
 // Gemm and ShardedGemmTN live in kernels.cc: they dispatch between the
-// blocked kernel and the retained naive reference (nn/kernels.h).
+// blocked and simd kernels (nn/kernels.h).
 
 void AddRowBroadcast(const Matrix& bias, Matrix* out) {
   DEEPAQP_CHECK_EQ(bias.rows(), 1u);

@@ -75,8 +75,8 @@ class Matrix {
 
 /// C = alpha * op(A) @ op(B) + beta * C, where op is optional transpose.
 /// Shapes are checked; C is resized only when beta == 0. Dispatches to the
-/// active kernel (see nn/kernels.h): the default cache-blocked kernel or
-/// the naive reference. Either way the work layout is a pure function of
+/// active kernel (see nn/kernels.h): the simd or the cache-blocked
+/// kernel. Either way the work layout is a pure function of
 /// the shape and each output element keeps one fixed accumulation order,
 /// so results are bit-identical at every thread count for a fixed kernel.
 /// Implemented in kernels.cc.

@@ -35,6 +35,9 @@ Status ByteReader::Take(void* out, size_t n) {
   if (pos_ + n > size_) {
     return Status::OutOfRange("ByteReader: truncated buffer");
   }
+  // An empty vector's data() may be null, and memcpy with a null pointer is
+  // undefined even for zero bytes.
+  if (n == 0) return Status::OK();
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
   return Status::OK();

@@ -531,22 +531,6 @@ relation::Table VaeAqpModel::GenerateChunk(size_t n, double t,
   return out;
 }
 
-relation::Table VaeAqpModel::GenerateWhere(size_t n,
-                                           const aqp::Predicate& predicate,
-                                           double t, util::Rng& rng,
-                                           size_t max_candidates) const {
-  GenerateWhereResult result =
-      GenerateWhereReport(n, predicate, t, rng, max_candidates);
-  if (result.shortfall() > 0) {
-    DEEPAQP_LOG(Warning) << "GenerateWhere returned "
-                         << result.rows.num_rows() << "/" << result.requested
-                         << " rows after " << result.candidates
-                         << " candidates (selective predicate or degraded "
-                            "model); aggregates will be under-sampled";
-  }
-  return std::move(result.rows);
-}
-
 GenerateWhereResult VaeAqpModel::GenerateWhereReport(
     size_t n, const aqp::Predicate& predicate, double t, util::Rng& rng,
     size_t max_candidates) const {

@@ -173,12 +173,6 @@ class VaeAqpModel {
                                           double t, util::Rng& rng,
                                           size_t max_candidates = 1 << 20) const;
 
-  /// Legacy table-only wrapper over GenerateWhereReport; WARN-logs any
-  /// shortfall so under-sampling is at least visible in the logs.
-  relation::Table GenerateWhere(size_t n, const aqp::Predicate& predicate,
-                                double t, util::Rng& rng,
-                                size_t max_candidates = 1 << 20) const;
-
   /// Adapts this model to the evaluation harness's SampleFn interface.
   aqp::SampleFn MakeSampler(double t, uint64_t seed = 99) const;
 

@@ -1,8 +1,8 @@
 // Property tests of the vectorized query engine: for random tables x query
 // shapes x selectivities (including empty selections and AVG-of-empty), the
-// vector engine must produce results bit-identical to the scalar path, at
-// every --threads setting, across ExecuteExact, EstimateFromSample,
-// BootstrapEstimate, Selectivity, and OnlineAggregator.
+// engine must produce results bit-identical to the row-at-a-time oracle in
+// aqp_reference.h, at every --threads setting, across ExecuteExact,
+// EstimateFromSample, BootstrapEstimate, Selectivity, and OnlineAggregator.
 
 #include "aqp/engine.h"
 
@@ -14,6 +14,7 @@
 #include "aqp/estimator.h"
 #include "aqp/executor.h"
 #include "aqp/online.h"
+#include "aqp_reference.h"
 #include "data/generators.h"
 #include "data/workload.h"
 #include "util/thread_pool.h"
@@ -32,14 +33,14 @@ uint64_t Bits(double x) {
   return b;
 }
 
-/// Bit-level equality, so NaN == NaN and +0.0 != -0.0: the engines must
-/// agree on the exact doubles, not just approximately.
-void ExpectBitIdentical(const QueryResult& scalar, const QueryResult& vector,
+/// Bit-level equality, so NaN == NaN and +0.0 != -0.0: the engine must
+/// agree with the oracle on the exact doubles, not just approximately.
+void ExpectBitIdentical(const QueryResult& ref, const QueryResult& engine,
                         const std::string& context) {
-  ASSERT_EQ(scalar.groups.size(), vector.groups.size()) << context;
-  for (size_t i = 0; i < scalar.groups.size(); ++i) {
-    const GroupValue& s = scalar.groups[i];
-    const GroupValue& v = vector.groups[i];
+  ASSERT_EQ(ref.groups.size(), engine.groups.size()) << context;
+  for (size_t i = 0; i < ref.groups.size(); ++i) {
+    const GroupValue& s = ref.groups[i];
+    const GroupValue& v = engine.groups[i];
     EXPECT_EQ(s.group, v.group) << context << " group " << i;
     EXPECT_EQ(s.support, v.support) << context << " group " << i;
     EXPECT_EQ(Bits(s.value), Bits(v.value))
@@ -49,31 +50,6 @@ void ExpectBitIdentical(const QueryResult& scalar, const QueryResult& vector,
         << context << " group " << i << " ci " << s.ci_half_width << " vs "
         << v.ci_half_width;
   }
-}
-
-/// Restores the ambient engine choice so test order never leaks state.
-struct EngineGuard {
-  EngineKind saved = ActiveEngine();
-  ~EngineGuard() { SetEngine(saved); }
-};
-
-template <typename Fn>
-auto WithEngine(EngineKind kind, Fn&& fn) {
-  const EngineKind saved = ActiveEngine();
-  SetEngine(kind);
-  auto result = fn();
-  SetEngine(saved);
-  return result;
-}
-
-TEST(EngineTest, NameAndOverrideRoundTrip) {
-  EngineGuard guard;
-  EXPECT_STREQ(EngineName(EngineKind::kScalar), "scalar");
-  EXPECT_STREQ(EngineName(EngineKind::kVector), "vector");
-  SetEngine(EngineKind::kScalar);
-  EXPECT_EQ(ActiveEngine(), EngineKind::kScalar);
-  SetEngine(EngineKind::kVector);
-  EXPECT_EQ(ActiveEngine(), EngineKind::kVector);
 }
 
 TEST(EngineTest, SelectionVectorResizeAndCount) {
@@ -94,8 +70,7 @@ TEST(EngineTest, SelectionVectorResizeAndCount) {
   EXPECT_EQ(sel.CountRange(0, 130), 2u);
 }
 
-TEST(EngineTest, RandomizedWorkloadBitIdenticalAcrossEnginesAndThreads) {
-  EngineGuard guard;
+TEST(EngineTest, RandomizedWorkloadMatchesReferenceAtEveryThreadCount) {
   struct DatasetSpec {
     const char* name;
     Table table;
@@ -122,43 +97,28 @@ TEST(EngineTest, RandomizedWorkloadBitIdenticalAcrossEnginesAndThreads) {
                                 std::to_string(qi) + " threads=" +
                                 std::to_string(threads);
 
-        auto exact_s = WithEngine(EngineKind::kScalar, [&] {
-          return ExecuteExact(q, ds.table);
-        });
-        auto exact_v = WithEngine(EngineKind::kVector, [&] {
-          return ExecuteExact(q, ds.table);
-        });
-        ASSERT_TRUE(exact_s.ok() && exact_v.ok()) << ctx;
-        ExpectBitIdentical(*exact_s, *exact_v, ctx + " exact");
+        auto exact_r = reference::ExecuteExact(q, ds.table);
+        auto exact_e = ExecuteExact(q, ds.table);
+        ASSERT_TRUE(exact_r.ok() && exact_e.ok()) << ctx;
+        ExpectBitIdentical(*exact_r, *exact_e, ctx + " exact");
 
-        auto est_s = WithEngine(EngineKind::kScalar, [&] {
-          return EstimateFromSample(q, ds.table, population);
-        });
-        auto est_v = WithEngine(EngineKind::kVector, [&] {
-          return EstimateFromSample(q, ds.table, population);
-        });
-        ASSERT_TRUE(est_s.ok() && est_v.ok()) << ctx;
-        ExpectBitIdentical(*est_s, *est_v, ctx + " estimate");
+        auto est_r = reference::EstimateFromSample(q, ds.table, population);
+        auto est_e = EstimateFromSample(q, ds.table, population);
+        ASSERT_TRUE(est_r.ok() && est_e.ok()) << ctx;
+        ExpectBitIdentical(*est_r, *est_e, ctx + " estimate");
 
-        const double sel_s = WithEngine(EngineKind::kScalar, [&] {
-          return Selectivity(q, ds.table);
-        });
-        const double sel_v = WithEngine(EngineKind::kVector, [&] {
-          return Selectivity(q, ds.table);
-        });
-        EXPECT_EQ(Bits(sel_s), Bits(sel_v)) << ctx << " selectivity";
+        EXPECT_EQ(Bits(reference::Selectivity(q, ds.table)),
+                  Bits(Selectivity(q, ds.table)))
+            << ctx << " selectivity";
 
         BootstrapOptions bopts;
         bopts.resamples = 20;
         bopts.seed = 1789 + qi;
-        auto boot_s = WithEngine(EngineKind::kScalar, [&] {
-          return BootstrapEstimate(q, ds.table, population, bopts);
-        });
-        auto boot_v = WithEngine(EngineKind::kVector, [&] {
-          return BootstrapEstimate(q, ds.table, population, bopts);
-        });
-        ASSERT_TRUE(boot_s.ok() && boot_v.ok()) << ctx;
-        ExpectBitIdentical(*boot_s, *boot_v, ctx + " bootstrap");
+        auto boot_r =
+            reference::BootstrapEstimate(q, ds.table, population, bopts);
+        auto boot_e = BootstrapEstimate(q, ds.table, population, bopts);
+        ASSERT_TRUE(boot_r.ok() && boot_e.ok()) << ctx;
+        ExpectBitIdentical(*boot_r, *boot_e, ctx + " bootstrap");
       }
     }
     util::SetGlobalThreads(0);
@@ -179,8 +139,7 @@ Table EdgeTable() {
   return t;
 }
 
-TEST(EngineTest, EmptySelectionsAndEdgeShapesMatchScalar) {
-  EngineGuard guard;
+TEST(EngineTest, EmptySelectionsAndEdgeShapesMatchReference) {
   Table t = EdgeTable();
   std::vector<AggregateQuery> queries;
 
@@ -216,19 +175,15 @@ TEST(EngineTest, EmptySelectionsAndEdgeShapesMatchScalar) {
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const AggregateQuery& q = queries[qi];
     const std::string ctx = "edge q" + std::to_string(qi);
-    auto exact_s = WithEngine(EngineKind::kScalar,
-                              [&] { return ExecuteExact(q, t); });
-    auto exact_v = WithEngine(EngineKind::kVector,
-                              [&] { return ExecuteExact(q, t); });
-    ASSERT_TRUE(exact_s.ok() && exact_v.ok()) << ctx;
-    ExpectBitIdentical(*exact_s, *exact_v, ctx + " exact");
+    auto exact_r = reference::ExecuteExact(q, t);
+    auto exact_e = ExecuteExact(q, t);
+    ASSERT_TRUE(exact_r.ok() && exact_e.ok()) << ctx;
+    ExpectBitIdentical(*exact_r, *exact_e, ctx + " exact");
 
-    auto est_s = WithEngine(EngineKind::kScalar,
-                            [&] { return EstimateFromSample(q, t, 40); });
-    auto est_v = WithEngine(EngineKind::kVector,
-                            [&] { return EstimateFromSample(q, t, 40); });
-    ASSERT_TRUE(est_s.ok() && est_v.ok()) << ctx;
-    ExpectBitIdentical(*est_s, *est_v, ctx + " estimate");
+    auto est_r = reference::EstimateFromSample(q, t, 40);
+    auto est_e = EstimateFromSample(q, t, 40);
+    ASSERT_TRUE(est_r.ok() && est_e.ok()) << ctx;
+    ExpectBitIdentical(*est_r, *est_e, ctx + " estimate");
   }
 
   // The explicit semantic anchors: empty COUNT is 0, empty AVG is absent.
@@ -241,8 +196,7 @@ TEST(EngineTest, EmptySelectionsAndEdgeShapesMatchScalar) {
   EXPECT_TRUE(ExecuteExact(avg_none, t)->groups.empty());
 }
 
-TEST(EngineTest, OnlineAggregatorMatchesAcrossEnginesAndBatchSplits) {
-  EngineGuard guard;
+TEST(EngineTest, OnlineAggregatorMatchesReferenceAtEveryBatchSplit) {
   auto table = data::GenerateTaxi({.rows = 1500, .seed = 17});
   AggregateQuery q;
   q.agg = AggFunc::kAvg;
@@ -251,36 +205,43 @@ TEST(EngineTest, OnlineAggregatorMatchesAcrossEnginesAndBatchSplits) {
   q.filter.conditions.push_back(
       {static_cast<size_t>(table.schema().IndexOf("trip_distance")),
        CmpOp::kGt, 1.0});
+  const size_t population = table.num_rows() * 10;
 
-  auto run = [&](EngineKind kind, const std::vector<size_t>& splits) {
-    return WithEngine(kind, [&] {
-      OnlineAggregator agg(q, table.num_rows() * 10);
-      size_t start = 0;
-      for (size_t len : splits) {
-        EXPECT_TRUE(agg.AddBatch(table.Gather([&] {
-                       std::vector<size_t> rows(len);
-                       for (size_t i = 0; i < len; ++i) rows[i] = start + i;
-                       return rows;
-                     }())).ok());
-        start += len;
-      }
-      auto current = agg.Current();
-      EXPECT_TRUE(current.ok());
-      return *current;
-    });
+  auto batches = [&](const std::vector<size_t>& splits) {
+    std::vector<Table> out;
+    size_t start = 0;
+    for (size_t len : splits) {
+      std::vector<size_t> rows(len);
+      for (size_t i = 0; i < len; ++i) rows[i] = start + i;
+      out.push_back(table.Gather(rows));
+      start += len;
+    }
+    return out;
+  };
+  auto run = [&](const std::vector<Table>& parts) {
+    OnlineAggregator agg(q, population);
+    for (const Table& part : parts) EXPECT_TRUE(agg.AddBatch(part).ok());
+    auto current = agg.Current();
+    EXPECT_TRUE(current.ok());
+    return *current;
+  };
+  auto reference_run = [&](const std::vector<Table>& parts) {
+    auto result = reference::OnlineEstimate(q, parts, population);
+    EXPECT_TRUE(result.ok());
+    return *result;
   };
 
-  const std::vector<size_t> one_batch = {1500};
-  const std::vector<size_t> three_batches = {500, 700, 300};
-  QueryResult s1 = run(EngineKind::kScalar, one_batch);
-  QueryResult v1 = run(EngineKind::kVector, one_batch);
-  QueryResult s3 = run(EngineKind::kScalar, three_batches);
-  QueryResult v3 = run(EngineKind::kVector, three_batches);
-  ExpectBitIdentical(s1, v1, "online one batch");
-  ExpectBitIdentical(s3, v3, "online three batches");
+  const std::vector<Table> one_batch = batches({1500});
+  const std::vector<Table> three_batches = batches({500, 700, 300});
+  const QueryResult r1 = reference_run(one_batch);
+  const QueryResult e1 = run(one_batch);
+  const QueryResult r3 = reference_run(three_batches);
+  const QueryResult e3 = run(three_batches);
+  ExpectBitIdentical(r1, e1, "online one batch");
+  ExpectBitIdentical(r3, e3, "online three batches");
   // Batch splits merge per matched row, so the split itself is invisible.
-  ExpectBitIdentical(s1, s3, "online scalar split invariance");
-  ExpectBitIdentical(v1, v3, "online vector split invariance");
+  ExpectBitIdentical(r1, r3, "online reference split invariance");
+  ExpectBitIdentical(e1, e3, "online engine split invariance");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Exhaustive correctness suite for the blocked GEMM kernel layer
-// (nn/kernels.h) against the retained naive reference:
+// (nn/kernels.h) against the retained ReferenceGemm oracle:
 //  * all four transpose combinations x odd/prime shapes straddling every
 //    panel boundary x beta in {0, 0.5, 1}, within 1e-5 relative error;
 //  * ShardedGemmTN bit-identical across thread counts with the blocked
@@ -7,7 +7,8 @@
 //  * fused bias+activation forwards equal to the unfused pipeline exactly;
 //  * the vectorized sigmoid within 1e-5 of the std::exp form, with the
 //    Bernoulli fusion consuming the same RNG stream;
-//  * the kernel-kind escape hatch actually switches implementations.
+//  * the kernel-kind switch between blocked and simd, with "naive"
+//    rejected as a kernel name.
 
 #include "nn/kernels.h"
 
@@ -119,10 +120,7 @@ TEST(GemmKernelTest, FastKernelsMatchReferenceAllTransposesAllShapes) {
             for (float beta : kBetas) {
               const Matrix c0 = RandomMatrix(m, n, rng);
               Matrix want = c0;
-              {
-                ScopedKernel naive(GemmKernelKind::kNaive);
-                Gemm(a, ta, b, tb, 1.25f, beta, &want);
-              }
+              ReferenceGemm(a, ta, b, tb, 1.25f, beta, &want);
               for (GemmKernelKind kind : fast) {
                 Matrix got = c0;
                 ScopedKernel active(kind);
@@ -150,10 +148,7 @@ TEST(GemmKernelTest, FastKernelsMatchReferenceOnVaeShapes) {
     const Matrix a = RandomMatrix(256, hidden, rng);
     const Matrix b = RandomMatrix(hidden, hidden, rng);
     Matrix want;
-    {
-      ScopedKernel naive(GemmKernelKind::kNaive);
-      Gemm(a, false, b, false, 1.0f, 0.0f, &want);
-    }
+    ReferenceGemm(a, false, b, false, 1.0f, 0.0f, &want);
     for (GemmKernelKind kind : FastKernels()) {
       Matrix got;
       ScopedKernel active(kind);
@@ -199,15 +194,11 @@ TEST(GemmKernelTest, ShardedGemmTNBitIdenticalAcrossThreadCounts) {
   }
   util::SetGlobalThreads(0);
 
-  // And the blocked shard kernel agrees with the naive shard kernel.
-  Matrix naive_c(33, 17);
-  {
-    ScopedKernel naive(GemmKernelKind::kNaive);
-    ShardedGemmTN(a, b, &naive_c);
-  }
-  EXPECT_LE(
-      GemmRelError(a, true, b, false, 1.0f, 0.0f, nullptr, naive_c, base),
-      kTol);
+  // And the blocked shard kernel agrees with the reference TN product.
+  Matrix ref;
+  ReferenceGemm(a, true, b, false, 1.0f, 0.0f, &ref);
+  EXPECT_LE(GemmRelError(a, true, b, false, 1.0f, 0.0f, nullptr, ref, base),
+            kTol);
 }
 
 TEST(GemmKernelTest, FusedLinearForwardMatchesUnfusedPipeline) {
@@ -304,20 +295,14 @@ TEST(SigmoidKernelTest, BernoulliFusionConsumesSameRngStream) {
 }
 
 TEST(KernelDispatchTest, EscapeHatchSwitchesImplementations) {
-  // kNaive must reproduce ReferenceGemm bit-for-bit (it IS the reference);
-  // the blocked kernel differs in summation order, so on a shape with a
-  // long k accumulation the bits generally differ while values agree.
+  // The blocked and simd kernels differ from ReferenceGemm in summation
+  // order, so on a shape with a long k accumulation the bits generally
+  // differ while values agree.
   util::Rng rng(2718);
   const Matrix a = RandomMatrix(16, 500, rng);
   const Matrix b = RandomMatrix(500, 16, rng);
   Matrix ref;
   ReferenceGemm(a, false, b, false, 1.0f, 0.0f, &ref);
-  Matrix via_naive;
-  {
-    ScopedKernel naive(GemmKernelKind::kNaive);
-    Gemm(a, false, b, false, 1.0f, 0.0f, &via_naive);
-  }
-  EXPECT_TRUE(BitIdentical(ref, via_naive));
   Matrix via_blocked;
   {
     ScopedKernel blocked(GemmKernelKind::kBlocked);
@@ -338,8 +323,7 @@ TEST(KernelDispatchTest, EscapeHatchSwitchesImplementations) {
 
 TEST(KernelDispatchTest, KindNamesRoundTripThroughParse) {
   for (GemmKernelKind kind :
-       {GemmKernelKind::kNaive, GemmKernelKind::kBlocked,
-        GemmKernelKind::kSimd}) {
+       {GemmKernelKind::kBlocked, GemmKernelKind::kSimd}) {
     GemmKernelKind parsed;
     ASSERT_TRUE(ParseGemmKernelKind(GemmKernelKindName(kind), &parsed).ok());
     EXPECT_EQ(parsed, kind);
@@ -349,6 +333,9 @@ TEST(KernelDispatchTest, KindNamesRoundTripThroughParse) {
   const util::Status bad = ParseGemmKernelKind("warp-drive", &parsed);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+  // The triple-loop reference is not a dispatchable kernel.
+  const util::Status naive = ParseGemmKernelKind("naive", &parsed);
+  EXPECT_EQ(naive.code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(ScratchArenaTest, AcquireReleaseRoundTrip) {

@@ -159,16 +159,13 @@ TEST(SimdBackendTest, ShardedGemmTNMatchesReference) {
   util::Rng rng(123);
   const Matrix a = RandomMatrix(300, 33, rng);  // batch x in
   const Matrix b = RandomMatrix(300, 17, rng);  // batch x out
-  Matrix naive_c(33, 17);
-  {
-    ScopedKernel naive(GemmKernelKind::kNaive);
-    ShardedGemmTN(a, b, &naive_c);
-  }
+  Matrix ref;
+  ReferenceGemm(a, true, b, false, 1.0f, 0.0f, &ref);
   ScopedKernel simd(GemmKernelKind::kSimd);
   util::SetGlobalThreads(1);
   Matrix base(33, 17);
   ShardedGemmTN(a, b, &base);
-  EXPECT_LE(GemmRelError(a, true, b, false, naive_c, base), kTol);
+  EXPECT_LE(GemmRelError(a, true, b, false, ref, base), kTol);
   for (int threads : {2, 8}) {
     util::SetGlobalThreads(threads);
     Matrix c(33, 17);

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "aqp/engine.h"
 #include "aqp/sql_parser.h"
 #include "data/generators.h"
 #include "server/scheduler.h"
@@ -29,12 +28,6 @@
 
 namespace deepaqp::server {
 namespace {
-
-struct EngineGuard {
-  aqp::EngineKind saved = aqp::ActiveEngine();
-  EngineGuard() { aqp::SetEngine(aqp::EngineKind::kVector); }
-  ~EngineGuard() { aqp::SetEngine(saved); }
-};
 
 /// Trains one small taxi model per distinct training seed, once for the
 /// whole suite, and serves it as bytes (every consumer re-opens or shares
@@ -190,7 +183,6 @@ void DriveSession(AqpServer& server, const std::shared_ptr<PipeTransport>& pipe,
 }
 
 TEST(ServerSessionTest, StreamMatchesDirectClientBitForBit) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const std::vector<std::vector<uint8_t>> reference =
       ReferenceStream(ModelBytes(), queries);
@@ -228,7 +220,6 @@ TEST(ServerSessionTest, StreamMatchesDirectClientBitForBit) {
 }
 
 TEST(ServerSessionTest, ConcurrentSessionsBitIdenticalAcrossThreadCounts) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const std::vector<std::vector<uint8_t>> reference =
       ReferenceStream(ModelBytes(), queries);
@@ -266,7 +257,6 @@ TEST(ServerSessionTest, ConcurrentSessionsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ServerSessionTest, PipelinedQueriesDrainOnAcksAlone) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const std::vector<std::vector<uint8_t>> reference =
       ReferenceStream(ModelBytes(), queries);
@@ -319,7 +309,6 @@ TEST(ServerSessionTest, PipelinedQueriesDrainOnAcksAlone) {
 }
 
 TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
-  EngineGuard guard;
   ModelRegistry registry;
   auto v1 = vae::VaeAqpModel::Deserialize(ModelBytes(77));
   ASSERT_TRUE(v1.ok());
@@ -378,7 +367,6 @@ TEST(ServerSessionTest, MidStreamSwapIsDeferredToStreamBoundary) {
 }
 
 TEST(ServerSessionTest, EachEstimateLeavesBeforeThePoolGrows) {
-  EngineGuard guard;
   ModelRegistry registry;
   auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
   ASSERT_TRUE(model.ok());
@@ -429,7 +417,6 @@ TEST(ServerSessionTest, EachEstimateLeavesBeforeThePoolGrows) {
 }
 
 TEST(ServerSessionTest, OversizedOpenIsRejectedBeforeAnySessionExists) {
-  EngineGuard guard;
   AqpServer server(ServerOptions());
   auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
   ASSERT_TRUE(model.ok());
@@ -467,7 +454,6 @@ TEST(ServerSessionTest, OversizedOpenIsRejectedBeforeAnySessionExists) {
 }
 
 TEST(ServerSessionTest, HotSwapResetsSessionCacheAndMatchesFreshClient) {
-  EngineGuard guard;
   const QuerySpec spec = DefaultQueries()[0];
   AqpServer server(ServerOptions());
   auto v1 = vae::VaeAqpModel::Deserialize(ModelBytes(77));
@@ -507,7 +493,6 @@ TEST(ServerSessionTest, HotSwapResetsSessionCacheAndMatchesFreshClient) {
 }
 
 TEST(ServerSessionTest, ErrorsAreResponsesNotSessionDeath) {
-  EngineGuard guard;
   AqpServer server(ServerOptions());
   auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
   ASSERT_TRUE(model.ok());
@@ -554,7 +539,6 @@ TEST(ServerSessionTest, ErrorsAreResponsesNotSessionDeath) {
 }
 
 TEST(ServerSessionTest, PerSessionOverridesApply) {
-  EngineGuard guard;
   AqpServer server(ServerOptions());
   auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
   ASSERT_TRUE(model.ok());
@@ -615,7 +599,6 @@ std::vector<std::vector<std::vector<uint8_t>>> ReferenceSegments(
 }
 
 TEST(ServerSessionTest, GracefulShutdownNeverTruncatesAcrossThreadCounts) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const std::vector<std::vector<std::vector<uint8_t>>> segments =
       ReferenceSegments(queries);

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "aqp/engine.h"
 #include "aqp/sql_parser.h"
 #include "data/generators.h"
 #include "server/server.h"
@@ -27,12 +27,6 @@
 
 namespace deepaqp::server {
 namespace {
-
-struct EngineGuard {
-  aqp::EngineKind saved = aqp::ActiveEngine();
-  EngineGuard() { aqp::SetEngine(aqp::EngineKind::kVector); }
-  ~EngineGuard() { aqp::SetEngine(saved); }
-};
 
 /// Arms a failpoint spec for one test body and guarantees a clean registry
 /// afterwards (no spec leaks into the next test).
@@ -175,7 +169,6 @@ TEST(ServerSocketTest, FrameParserRejectsOversizedPrefix) {
 }
 
 TEST(ServerSocketTest, LoopbackStreamMatchesDirectClientBitForBit) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const auto reference = ReferenceStream(queries);
   ASSERT_GT(reference.size(), queries.size());
@@ -198,7 +191,6 @@ TEST(ServerSocketTest, LoopbackStreamMatchesDirectClientBitForBit) {
 }
 
 TEST(ServerSocketTest, PingPongRoundTrip) {
-  EngineGuard guard;
   TcpServer ts;
   RetryingConnection client(ClientFor(ts));
   ASSERT_TRUE(client.Connect().ok());
@@ -210,7 +202,6 @@ TEST(ServerSocketTest, PingPongRoundTrip) {
 // client reconnects with its resumption token, and the final answer is
 // bit-identical to an uninterrupted run.
 TEST(ServerSocketTest, DroppedConnectionResumesBitIdentical) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const auto reference = ReferenceStream(queries);
 
@@ -244,7 +235,6 @@ TEST(ServerSocketTest, DroppedConnectionResumesBitIdentical) {
 // Same acceptance shape, cut by the supervision layer instead of the write
 // path: the heartbeat reaper declares the connection dead mid-stream.
 TEST(ServerSocketTest, HeartbeatReapMidStreamResumesBitIdentical) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const auto reference = ReferenceStream(queries);
 
@@ -276,7 +266,6 @@ TEST(ServerSocketTest, HeartbeatReapMidStreamResumesBitIdentical) {
 }
 
 TEST(ServerSocketTest, SilentConnectionReapedButSessionSurvives) {
-  EngineGuard guard;
   SocketServer::Options sopts;
   sopts.heartbeat_ms = 20;
   sopts.heartbeat_misses = 2;
@@ -289,12 +278,26 @@ TEST(ServerSocketTest, SilentConnectionReapedButSessionSurvives) {
   open.kind = ClientMessageKind::kOpenSession;
   open.model_name = "taxi";
   ASSERT_TRUE(raw.Send(open).ok());
-  auto opened = raw.Receive(5000);
-  ASSERT_TRUE(opened.ok());
-  ASSERT_TRUE(opened->has_value());
-  ASSERT_EQ((*opened)->kind, ServerMessageKind::kSessionOpened);
-  const uint64_t session = (*opened)->session;
-  const uint64_t token = (*opened)->resume_token;
+  // Stay live until the open is answered: on a slow build the reply can
+  // take longer than the 40 ms liveness deadline, and the silence under
+  // test must begin only after the session exists.
+  std::optional<ServerMessage> opened;
+  const auto open_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!opened && std::chrono::steady_clock::now() < open_deadline) {
+    ClientMessage ping;
+    ping.kind = ClientMessageKind::kPing;
+    ASSERT_TRUE(raw.Send(ping).ok());
+    auto reply = raw.Receive(5);
+    ASSERT_TRUE(reply.ok());
+    if (reply->has_value() && (*reply)->kind != ServerMessageKind::kPong) {
+      opened = std::move(*reply);
+    }
+  }
+  ASSERT_TRUE(opened.has_value());
+  ASSERT_EQ(opened->kind, ServerMessageKind::kSessionOpened);
+  const uint64_t session = opened->session;
+  const uint64_t token = opened->resume_token;
   ASSERT_NE(token, 0u);
 
   // Silence past the liveness deadline: the CONNECTION must be reaped...
@@ -323,7 +326,6 @@ TEST(ServerSocketTest, SilentConnectionReapedButSessionSurvives) {
 }
 
 TEST(ServerSocketTest, ResumeWithBadTokenRejected) {
-  EngineGuard guard;
   TcpServer ts;
   SocketConnection raw;
   ASSERT_TRUE(raw.Connect("127.0.0.1", ts.sock->port(), 2000).ok());
@@ -350,7 +352,6 @@ TEST(ServerSocketTest, ResumeWithBadTokenRejected) {
 }
 
 TEST(ServerSocketTest, AdmissionControlShedsWithServerBusy) {
-  EngineGuard guard;
   AqpServer::Options opts = ServerOptions();
   opts.max_sessions = 1;
   TcpServer ts(opts);
@@ -376,7 +377,6 @@ TEST(ServerSocketTest, AdmissionControlShedsWithServerBusy) {
 }
 
 TEST(ServerSocketTest, GracefulShutdownFinishesInFlightStream) {
-  EngineGuard guard;
   const std::vector<QuerySpec> queries = DefaultQueries();
   const auto reference = ReferenceStream({queries[0]});
 
@@ -416,7 +416,6 @@ TEST(ServerSocketTest, GracefulShutdownFinishesInFlightStream) {
 }
 
 TEST(ServerSocketTest, ShutdownRefusesNewSessionsDuringDrain) {
-  EngineGuard guard;
   TcpServer ts;
   RetryingConnection client(ClientFor(ts));
   ASSERT_TRUE(client.Connect().ok());

@@ -1,6 +1,7 @@
 #include "util/serialize.h"
 
 #include <cstdio>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,6 +46,40 @@ TEST(SerializeTest, RoundTripStringAndVectors) {
   ASSERT_EQ(i32.size(), 4u);
   EXPECT_EQ(i32[0], -1);
   EXPECT_TRUE(r.AtEnd());
+}
+
+// Empty payloads hand memcpy a null data() pointer unless the reader skips
+// zero-length copies; under -fsanitize=undefined that is a hard abort.
+TEST(SerializeTest, RoundTripEmptyStringAndVectors) {
+  ByteWriter w;
+  w.WriteString("");
+  w.WriteF32Vector({});
+  w.WriteF64Vector({});
+  w.WriteI32Vector({});
+
+  ByteReader r(w.bytes());
+  auto str = r.ReadString();
+  ASSERT_TRUE(str.ok());
+  EXPECT_TRUE(str->empty());
+  auto f32 = r.ReadF32Vector();
+  ASSERT_TRUE(f32.ok());
+  EXPECT_TRUE(f32->empty());
+  auto f64 = r.ReadF64Vector();
+  ASSERT_TRUE(f64.ok());
+  EXPECT_TRUE(f64->empty());
+  auto i32 = r.ReadI32Vector();
+  ASSERT_TRUE(i32.ok());
+  EXPECT_TRUE(i32->empty());
+  auto raw = r.ReadBytes(0);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_TRUE(raw->empty());
+  EXPECT_TRUE(r.AtEnd());
+
+  // A reader over an empty buffer has a null base pointer as well.
+  const std::vector<uint8_t> nothing;
+  ByteReader empty(nothing);
+  EXPECT_TRUE(empty.ReadBytes(0).ok());
+  EXPECT_FALSE(empty.ReadU8().ok());
 }
 
 TEST(SerializeTest, TruncationIsReported) {

@@ -1,16 +1,18 @@
 // Client query-cache correctness: pool growth via QueryWithMaxRelativeCi
 // must evaluate only the newly generated suffix rows, yet return results
-// byte-identical to a cold-cache (scalar-engine) client at the same seed.
+// byte-identical to a cold, cache-less replay of the same growth path
+// through the row-at-a-time oracle (aqp_reference.h).
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "aqp/engine.h"
-#include "aqp/estimator.h"
+#include "aqp_reference.h"
 #include "data/generators.h"
 #include "relation/table.h"
 #include "util/rng.h"
@@ -36,14 +38,6 @@ void ExpectBitIdentical(const aqp::QueryResult& a, const aqp::QueryResult& b,
         << context;
   }
 }
-
-/// Forces the vector engine for the test body (the cache under test only
-/// exists there) and restores whatever DEEPAQP_ENGINE chose on exit.
-struct EngineGuard {
-  aqp::EngineKind saved = aqp::ActiveEngine();
-  EngineGuard() { aqp::SetEngine(aqp::EngineKind::kVector); }
-  ~EngineGuard() { aqp::SetEngine(saved); }
-};
 
 /// One small model, trained once and re-opened from bytes per client so
 /// every client in this suite sees the identical generator.
@@ -98,8 +92,48 @@ aqp::AggregateQuery FilteredAvg(const vae::AqpClient& client) {
   return q;
 }
 
-TEST(ClientCacheTest, GrowthMatchesColdScalarClientBitForBit) {
-  EngineGuard guard;
+/// The growth path every refinement follows: the initial pool, then one
+/// doubling per non-final step, all drawn in order from one rng stream
+/// seeded with options.seed. Entry i is the pool refinement step i answers
+/// on; the list stops at max_samples.
+std::vector<relation::Table> GrowthPath(const vae::VaeAqpModel& model,
+                                        const vae::AqpClient::Options& o) {
+  util::Rng rng(o.seed);
+  std::vector<relation::Table> path;
+  path.push_back(model.Generate(o.initial_samples, model.default_t(), rng));
+  while (path.back().num_rows() < o.max_samples) {
+    relation::Table next = path.back();
+    const size_t target = std::min(2 * next.num_rows(), o.max_samples);
+    EXPECT_TRUE(next.Append(model.Generate(target - next.num_rows(),
+                                           model.default_t(), rng))
+                    .ok());
+    path.push_back(std::move(next));
+  }
+  return path;
+}
+
+/// A cold, cache-less client replayed through the oracle: answers each pool
+/// of the growth path with the row-at-a-time estimator and stops where
+/// QueryRefineStep stops (every group's relative CI within the target, or
+/// the pool at max_samples). Returns the final answer and its pool.
+std::pair<aqp::QueryResult, size_t> ColdReferenceQuery(
+    const std::vector<relation::Table>& path, const aqp::AggregateQuery& q,
+    double max_relative_ci, size_t population_rows) {
+  for (const relation::Table& pool : path) {
+    auto est = aqp::reference::EstimateFromSample(q, pool, population_rows);
+    EXPECT_TRUE(est.ok());
+    bool tight = true;
+    for (const auto& g : est->groups) {
+      const double denom = std::abs(g.value);
+      const double rel = denom > 0 ? g.ci_half_width / denom : g.ci_half_width;
+      if (rel > max_relative_ci) tight = false;
+    }
+    if (tight || &pool == &path.back()) return {*est, pool.num_rows()};
+  }
+  return {};
+}
+
+TEST(ClientCacheTest, GrowthMatchesColdReferenceReplayBitForBit) {
   auto warm = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(warm.ok());
   aqp::AggregateQuery q = FilteredAvg(**warm);
@@ -107,16 +141,14 @@ TEST(ClientCacheTest, GrowthMatchesColdScalarClientBitForBit) {
   ASSERT_TRUE(warm_result.ok());
   EXPECT_GT((*warm)->pool_size(), 400u);  // precision-on-demand grew
 
-  // Cold client under the scalar engine: full rescans, no cache at all.
-  aqp::SetEngine(aqp::EngineKind::kScalar);
-  auto cold = vae::AqpClient::Open(ModelBytes(), ClientOptions());
-  ASSERT_TRUE(cold.ok());
-  auto cold_result = (*cold)->QueryWithMaxRelativeCi(q, 0.03);
-  ASSERT_TRUE(cold_result.ok());
+  // Cold replay: full row-at-a-time rescans of every pool, no cache at all.
+  auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
+  ASSERT_TRUE(model.ok());
+  const auto [cold_result, cold_pool] = ColdReferenceQuery(
+      GrowthPath(**model, ClientOptions()), q, 0.03, 4000);
 
-  EXPECT_EQ((*warm)->pool_size(), (*cold)->pool_size());
-  ExpectBitIdentical(*warm_result, *cold_result, "growth query");
-  EXPECT_EQ((*cold)->cache_stats().agg_entries, 0u);  // cache bypassed
+  EXPECT_EQ((*warm)->pool_size(), cold_pool);
+  ExpectBitIdentical(*warm_result, cold_result, "growth query");
 
   // Suffix-only evaluation: across the whole doubling trajectory every pool
   // row went through the filter kernel and the aggregation pass exactly
@@ -129,7 +161,6 @@ TEST(ClientCacheTest, GrowthMatchesColdScalarClientBitForBit) {
 }
 
 TEST(ClientCacheTest, RepeatedQueryReevaluatesNothing) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   aqp::AggregateQuery q = FilteredAvg(**client);
@@ -145,7 +176,6 @@ TEST(ClientCacheTest, RepeatedQueryReevaluatesNothing) {
 }
 
 TEST(ClientCacheTest, PredicateBitmapSharedAcrossMeasures) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   aqp::AggregateQuery q1 = FilteredAvg(**client);
@@ -160,7 +190,6 @@ TEST(ClientCacheTest, PredicateBitmapSharedAcrossMeasures) {
 }
 
 TEST(ClientCacheTest, QuantileLevelsShareAccumulation) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   aqp::AggregateQuery q = FilteredAvg(**client);
@@ -173,20 +202,20 @@ TEST(ClientCacheTest, QuantileLevelsShareAccumulation) {
   ASSERT_TRUE(p90.ok());
   EXPECT_EQ((*client)->cache_stats().agg_entries, 1u);
 
-  // Both levels must agree with a cache-less scalar scan of the same pool.
-  aqp::SetEngine(aqp::EngineKind::kScalar);
+  // Both levels must agree with a cache-less row-at-a-time scan of the
+  // same pool.
   q.quantile = 0.5;
   auto median_ref =
-      aqp::EstimateFromSample(q, (*client)->pool(), 4000);
+      aqp::reference::EstimateFromSample(q, (*client)->pool(), 4000);
   q.quantile = 0.9;
-  auto p90_ref = aqp::EstimateFromSample(q, (*client)->pool(), 4000);
+  auto p90_ref =
+      aqp::reference::EstimateFromSample(q, (*client)->pool(), 4000);
   ASSERT_TRUE(median_ref.ok() && p90_ref.ok());
   ExpectBitIdentical(*median, *median_ref, "median");
   ExpectBitIdentical(*p90, *p90_ref, "p90");
 }
 
 TEST(ClientCacheTest, ModelSwapInvalidatesCacheAndMatchesFreshClient) {
-  EngineGuard guard;
   ASSERT_NE(ModelBytes(), SwappedModelBytes());  // genuinely different model
 
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
@@ -220,7 +249,6 @@ TEST(ClientCacheTest, ModelSwapInvalidatesCacheAndMatchesFreshClient) {
 }
 
 TEST(ClientCacheTest, GroupByGrowthHandlesNewGroupCodes) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   aqp::AggregateQuery q;
@@ -230,34 +258,13 @@ TEST(ClientCacheTest, GroupByGrowthHandlesNewGroupCodes) {
   auto grown = (*client)->QueryWithMaxRelativeCi(q, 0.05);
   ASSERT_TRUE(grown.ok());
 
-  aqp::SetEngine(aqp::EngineKind::kScalar);
-  auto reference = aqp::EstimateFromSample(q, (*client)->pool(), 4000);
+  auto reference =
+      aqp::reference::EstimateFromSample(q, (*client)->pool(), 4000);
   ASSERT_TRUE(reference.ok());
   ExpectBitIdentical(*grown, *reference, "group-by growth");
 }
 
-/// The growth path every refinement follows: the initial pool, then one
-/// doubling per non-final step, all drawn in order from one rng stream
-/// seeded with options.seed. Entry i is the pool refinement step i answers
-/// on; the list stops at max_samples.
-std::vector<relation::Table> GrowthPath(const vae::VaeAqpModel& model,
-                                        const vae::AqpClient::Options& o) {
-  util::Rng rng(o.seed);
-  std::vector<relation::Table> path;
-  path.push_back(model.Generate(o.initial_samples, model.default_t(), rng));
-  while (path.back().num_rows() < o.max_samples) {
-    relation::Table next = path.back();
-    const size_t target = std::min(2 * next.num_rows(), o.max_samples);
-    EXPECT_TRUE(next.Append(model.Generate(target - next.num_rows(),
-                                           model.default_t(), rng))
-                    .ok());
-    path.push_back(std::move(next));
-  }
-  return path;
-}
-
 TEST(ClientCacheTest, RefineStepAnswersBeforeGrowing) {
-  EngineGuard guard;
   auto model = vae::VaeAqpModel::Deserialize(ModelBytes());
   ASSERT_TRUE(model.ok());
   const std::vector<relation::Table> path = GrowthPath(**model, ClientOptions());
@@ -277,7 +284,7 @@ TEST(ClientCacheTest, RefineStepAnswersBeforeGrowing) {
     EXPECT_EQ((*client)->pool_size(), path[i].num_rows()) << "step " << i;
     EXPECT_EQ(before, i == 0 ? path[0].num_rows() : path[i - 1].num_rows());
     EXPECT_EQ(final, i + 1 == path.size());
-    auto expect = aqp::EstimateFromSample(q, path[i], 4000);
+    auto expect = aqp::reference::EstimateFromSample(q, path[i], 4000);
     ASSERT_TRUE(expect.ok());
     ExpectBitIdentical(*step, *expect, "step " + std::to_string(i));
   }
@@ -287,14 +294,13 @@ TEST(ClientCacheTest, RefineStepAnswersBeforeGrowing) {
   ASSERT_TRUE(fresh.ok());
   auto whole = (*fresh)->QueryWithMaxRelativeCi(q, 1e-9);
   ASSERT_TRUE(whole.ok());
-  auto expect = aqp::EstimateFromSample(q, path.back(), 4000);
+  auto expect = aqp::reference::EstimateFromSample(q, path.back(), 4000);
   ASSERT_TRUE(expect.ok());
   ExpectBitIdentical(*whole, *expect, "QueryWithMaxRelativeCi");
   EXPECT_EQ((*fresh)->pool_size(), path.back().num_rows());
 }
 
 TEST(ClientCacheTest, ModelSwapDropsPendingGrowth) {
-  EngineGuard guard;
   auto client = vae::AqpClient::Open(ModelBytes(), ClientOptions());
   ASSERT_TRUE(client.ok());
   const aqp::AggregateQuery q = FilteredAvg(**client);

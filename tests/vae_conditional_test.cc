@@ -27,7 +27,7 @@ TEST(ConditionalGenerationTest, AllRowsSatisfyPredicate) {
       {static_cast<size_t>(table.schema().IndexOf("trip_distance")),
        aqp::CmpOp::kLt, 5.0});
   util::Rng rng(2);
-  auto sample = (*model)->GenerateWhere(200, pred, kTPlusInf, rng);
+  auto sample = (*model)->GenerateWhereReport(200, pred, kTPlusInf, rng).rows;
   EXPECT_EQ(sample.num_rows(), 200u);
   for (size_t r = 0; r < sample.num_rows(); ++r) {
     EXPECT_TRUE(pred.Matches(sample, r));
@@ -39,8 +39,8 @@ TEST(ConditionalGenerationTest, EmptyPredicateIsPlainGeneration) {
   auto model = VaeAqpModel::Train(table, FastOptions());
   ASSERT_TRUE(model.ok());
   util::Rng rng(4);
-  auto sample = (*model)->GenerateWhere(50, aqp::Predicate{}, kTPlusInf,
-                                        rng);
+  auto sample =
+      (*model)->GenerateWhereReport(50, aqp::Predicate{}, kTPlusInf, rng).rows;
   EXPECT_EQ(sample.num_rows(), 50u);
 }
 
@@ -53,9 +53,12 @@ TEST(ConditionalGenerationTest, ImpossiblePredicateHitsCandidateCap) {
       {static_cast<size_t>(table.schema().IndexOf("fare")),
        aqp::CmpOp::kGt, 1e12});
   util::Rng rng(6);
-  auto sample = (*model)->GenerateWhere(10, impossible, kTPlusInf, rng,
-                                        /*max_candidates=*/4096);
-  EXPECT_EQ(sample.num_rows(), 0u);
+  auto result = (*model)->GenerateWhereReport(10, impossible, kTPlusInf, rng,
+                                              /*max_candidates=*/4096);
+  EXPECT_EQ(result.rows.num_rows(), 0u);
+  EXPECT_EQ(result.requested, 10u);
+  EXPECT_EQ(result.shortfall(), 10u);
+  EXPECT_GE(result.candidates, 4096u);  // the budget was actually spent
 }
 
 TEST(EnsembleSerializationTest, RoundTripGenerates) {

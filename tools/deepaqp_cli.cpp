@@ -30,7 +30,6 @@
 #include <string>
 #include <thread>
 
-#include "aqp/engine.h"
 #include "aqp/estimator.h"
 #include "aqp/sql_parser.h"
 #include "data/generators.h"
@@ -69,7 +68,7 @@ int Usage() {
       "[--flags]\n"
       "run with a command and no flags for that command's requirements\n"
       "global flags: --threads N, --pin off|compact|scatter, "
-      "--kernel naive|blocked|simd|auto, --quant off|fp16|int8\n",
+      "--kernel blocked|simd|auto, --quant off|fp16|int8\n",
       stderr);
   return 2;
 }
@@ -656,9 +655,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   util::ApplyThreadsFlag(flags);
-  aqp::ApplyEngineFlag(flags);
   util::ApplyFailpointsFlag(flags);
-  // --kernel naive|blocked|simd|auto switches the GEMM backend in-process;
+  // --kernel blocked|simd|auto switches the GEMM backend in-process;
   // unlike the DEEPAQP_KERNEL env (which warns and falls back), an explicit
   // flag naming an unavailable or unknown backend is a hard error.
   if (const util::Status st = nn::ApplyKernelFlag(flags); !st.ok()) {
