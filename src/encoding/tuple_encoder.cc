@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -192,6 +191,24 @@ namespace {
 
 float SigmoidF(float z) { return 1.0f / (1.0f + std::exp(-z)); }
 
+/// Most frequent value among `votes`, ties to the smallest value. Sorts
+/// `votes` in place.
+int32_t MaxVote(std::vector<int32_t>* votes) {
+  std::sort(votes->begin(), votes->end());
+  int32_t best = 0;
+  size_t best_count = 0;
+  for (size_t i = 0; i < votes->size();) {
+    size_t j = i + 1;
+    while (j < votes->size() && (*votes)[j] == (*votes)[i]) ++j;
+    if (j - i > best_count) {
+      best = (*votes)[i];
+      best_count = j - i;
+    }
+    i = j;
+  }
+  return best;
+}
+
 }  // namespace
 
 relation::Table TupleEncoder::DecodeLogits(const nn::Matrix& logits,
@@ -201,6 +218,8 @@ relation::Table TupleEncoder::DecodeLogits(const nn::Matrix& logits,
   Table out(schema_);
   std::vector<float> probs(encoded_dim_);
   std::vector<Datum> row(schema_.num_attributes());
+  // The draws of one attribute, reused across attributes and rows.
+  std::vector<int32_t> votes(static_cast<size_t>(std::max(1, options.draws)));
 
   // Per-draw stochastic decode of one attribute from probabilities.
   auto draw_code = [&](const AttrLayout& layout,
@@ -256,31 +275,13 @@ relation::Table TupleEncoder::DecodeLogits(const nn::Matrix& logits,
         code = draw_code(layout, p);
       } else {
         // Aggregate `draws` stochastic decodes per attribute (Sec. IV-E).
-        std::unordered_map<int32_t, int> counts;
-        for (int d = 0; d < std::max(1, options.draws); ++d) {
-          ++counts[draw_code(layout, p)];
-        }
+        for (int32_t& vote : votes) vote = draw_code(layout, p);
         if (options.strategy == DecodeStrategy::kMaxVote) {
-          int best_count = -1;
-          for (const auto& [value, count] : counts) {
-            if (count > best_count ||
-                (count == best_count && value < code)) {
-              best_count = count;
-              code = value;
-            }
-          }
+          code = MaxVote(&votes);
         } else {  // kWeightedRandom
-          int total = 0;
-          for (const auto& [value, count] : counts) total += count;
-          int64_t pick = static_cast<int64_t>(
-              rng.NextIndex(static_cast<uint64_t>(total)));
-          for (const auto& [value, count] : counts) {
-            pick -= count;
-            if (pick < 0) {
-              code = value;
-              break;
-            }
-          }
+          // A uniformly chosen draw takes value v with probability
+          // count(v) / draws: the empirical frequency distribution.
+          code = votes[rng.NextIndex(votes.size())];
         }
       }
       if (layout.is_numeric) {

@@ -21,6 +21,14 @@ util::Status ValidateDistances(const DistanceMatrix& dist) {
     if (row.size() != n) {
       return util::Status::InvalidArgument("distance matrix must be square");
     }
+    // NaN has no order for the greedy sort, and an infinite edge can leave
+    // the exact solver without a finite matching to trace back.
+    for (double d : row) {
+      if (!std::isfinite(d)) {
+        return util::Status::InvalidArgument(
+            "distance matrix has a non-finite entry");
+      }
+    }
   }
   return util::Status::OK();
 }

@@ -20,7 +20,8 @@ using DistanceMatrix = std::vector<std::vector<double>>;
 /// pooled points — optimality affects only the test's power, and the 2-opt
 /// local optimum is within a few percent of the exact optimum on Euclidean
 /// instances (verified against the exact DP in tests). The exact O(2^n)
-/// solver below is used for n <= 20.
+/// solver below is used for n <= 20. Both solvers reject a matrix with a
+/// non-finite entry (InvalidArgument).
 util::Result<std::vector<int>> MinWeightPerfectMatching(
     const DistanceMatrix& dist);
 

@@ -15,7 +15,8 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-  /// Uniform 64-bit value.
+  /// Uniform 64-bit value. Defined inline (below), like NextDouble and
+  /// Bernoulli: decoding a generated row draws a few hundred of them.
   uint64_t NextUint64();
 
   /// Uniform in [0, 1).
@@ -66,10 +67,32 @@ class Rng {
   static Rng ChildStream(uint64_t master_seed, uint64_t stream_index);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
   double spare_gaussian_ = 0.0;
   bool has_spare_gaussian_ = false;
 };
+
+// xoshiro256++ step.
+inline uint64_t Rng::NextUint64() {
+  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = Rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::NextDouble() {
+  // 53 high bits -> uniform double in [0, 1).
+  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
 /// Zipf distribution over {0, ..., n-1} with exponent s >= 0 (s = 0 is
 /// uniform). Precomputes the CDF once; sampling is O(log n) via binary

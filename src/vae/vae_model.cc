@@ -441,7 +441,8 @@ relation::Table VaeAqpModel::GenerateChunk(size_t n, double t,
       net_->EncodeConstInto(bits, &post, &arena);
       // The cache-free const paths keep this chunk self-contained: nothing
       // on the shared net is written, so sibling chunks can run in parallel.
-      net_->LogRatioRowsConstInto(bits, post, z, &ratio, &arena);
+      // The ratio's log p(x'|z) term reuses the window's decoder logits.
+      VaeNet::LogRatioRowsFromLogitsInto(bits, post, z, logits, &ratio);
       // Chaos site: simulated compute fault during sampling — poisons one
       // candidate's log-ratio, which the non-finite-rejection path below
       // must absorb.

@@ -39,12 +39,6 @@ VaeNet::Posterior VaeNet::Encode(const Matrix& x) {
   return post;
 }
 
-VaeNet::Posterior VaeNet::EncodeConst(const Matrix& x) const {
-  Posterior post;
-  EncodeConstInto(x, &post, &nn::ScratchArena::ThreadLocal());
-  return post;
-}
-
 void VaeNet::EncodeConstInto(const Matrix& x, Posterior* post,
                              nn::ScratchArena* arena) const {
   Matrix h = arena->Acquire();
@@ -62,12 +56,6 @@ void VaeNet::EncodeConstInto(const Matrix& x, Posterior* post,
 }
 
 Matrix VaeNet::DecodeLogits(const Matrix& z) { return decoder_->Forward(z); }
-
-Matrix VaeNet::DecodeLogitsConst(const Matrix& z) const {
-  Matrix logits;
-  DecodeLogitsConstInto(z, &logits, &nn::ScratchArena::ThreadLocal());
-  return logits;
-}
 
 void VaeNet::DecodeLogitsConstInto(const Matrix& z, Matrix* logits,
                                    nn::ScratchArena* arena) const {
@@ -136,17 +124,6 @@ Matrix VaeNet::LogPosteriorRows(const Posterior& post, const Matrix& z) {
   return nn::GaussianLogDensityRows(z, post.mu, post.logvar);
 }
 
-Matrix VaeNet::LogJointRowsConst(const Matrix& x_bits,
-                                 const Matrix& z) const {
-  Matrix logits = DecodeLogitsConst(z);
-  Matrix log_px_z = nn::BernoulliLogLikelihoodRows(logits, x_bits);
-  Matrix log_pz = nn::StandardNormalLogDensityRows(z);
-  for (size_t r = 0; r < log_px_z.rows(); ++r) {
-    log_px_z.At(r, 0) += log_pz.At(r, 0);
-  }
-  return log_px_z;
-}
-
 Matrix VaeNet::LogRatioRows(const Matrix& x_bits, const Posterior& post,
                             const Matrix& z) {
   Matrix r = LogJointRows(x_bits, z);
@@ -155,23 +132,20 @@ Matrix VaeNet::LogRatioRows(const Matrix& x_bits, const Posterior& post,
   return r;
 }
 
-Matrix VaeNet::LogRatioRowsConst(const Matrix& x_bits, const Posterior& post,
-                                 const Matrix& z) const {
-  Matrix r = LogJointRowsConst(x_bits, z);
-  Matrix log_q = LogPosteriorRows(post, z);
-  for (size_t i = 0; i < r.rows(); ++i) r.At(i, 0) -= log_q.At(i, 0);
-  return r;
-}
-
 void VaeNet::LogRatioRowsConstInto(const Matrix& x_bits, const Posterior& post,
                                    const Matrix& z, Matrix* out,
                                    nn::ScratchArena* arena) const {
-  // Same terms in the same order as LogRatioRowsConst; only the decoder
-  // logits (the one batch x input_dim intermediate) come from the arena.
   Matrix logits = arena->Acquire();
   DecodeLogitsConstInto(z, &logits, arena);
-  *out = nn::BernoulliLogLikelihoodRows(logits, x_bits);
+  LogRatioRowsFromLogitsInto(x_bits, post, z, logits, out);
   arena->Release(std::move(logits));
+}
+
+void VaeNet::LogRatioRowsFromLogitsInto(const Matrix& x_bits,
+                                        const Posterior& post, const Matrix& z,
+                                        const Matrix& logits, Matrix* out) {
+  // Same terms in the same order as LogRatioRows.
+  *out = nn::BernoulliLogLikelihoodRows(logits, x_bits);
   Matrix log_pz = nn::StandardNormalLogDensityRows(z);
   for (size_t r = 0; r < out->rows(); ++r) {
     out->At(r, 0) += log_pz.At(r, 0);

@@ -74,22 +74,17 @@ class VaeNet {
   /// read-only net: same operations in the same order (bit-identical
   /// output), but no per-batch layer caches are written, so any number of
   /// threads may call it simultaneously. Cannot be followed by Backward.
-  Posterior EncodeConst(const nn::Matrix& x) const;
-
-  /// Allocation-free EncodeConst: posterior matrices and every intermediate
-  /// come from caller-owned storage (`post` is resized; scratch is drawn
-  /// from `arena`). Bit-identical to EncodeConst; lets generation loops
-  /// reuse one Posterior across batches.
+  /// Allocation-free: posterior matrices and every intermediate come from
+  /// caller-owned storage (`post` is resized; scratch is drawn from
+  /// `arena`), so generation loops reuse one Posterior across batches.
   void EncodeConstInto(const nn::Matrix& x, Posterior* post,
                        nn::ScratchArena* arena) const;
 
   /// Decoder forward: latent batch -> Bernoulli logits over encoded bits.
   nn::Matrix DecodeLogits(const nn::Matrix& z);
 
-  /// Const, cache-free decoder forward (see EncodeConst).
-  nn::Matrix DecodeLogitsConst(const nn::Matrix& z) const;
-
-  /// Allocation-free DecodeLogitsConst (see EncodeConstInto).
+  /// Const, cache-free, allocation-free decoder forward (see
+  /// EncodeConstInto).
   void DecodeLogitsConstInto(const nn::Matrix& z, nn::Matrix* logits,
                              nn::ScratchArena* arena) const;
 
@@ -113,10 +108,6 @@ class VaeNet {
   /// Row-wise log p(x|z) + log p(z) for given x bits and latents.
   nn::Matrix LogJointRows(const nn::Matrix& x_bits, const nn::Matrix& z);
 
-  /// Const, cache-free variant of LogJointRows (see EncodeConst).
-  nn::Matrix LogJointRowsConst(const nn::Matrix& x_bits,
-                               const nn::Matrix& z) const;
-
   /// Row-wise log q(z|x) for a posterior previously computed on x.
   static nn::Matrix LogPosteriorRows(const Posterior& post,
                                      const nn::Matrix& z);
@@ -125,16 +116,21 @@ class VaeNet {
   nn::Matrix LogRatioRows(const nn::Matrix& x_bits, const Posterior& post,
                           const nn::Matrix& z);
 
-  /// Const, cache-free variant of LogRatioRows (see EncodeConst).
-  nn::Matrix LogRatioRowsConst(const nn::Matrix& x_bits,
-                               const Posterior& post,
-                               const nn::Matrix& z) const;
-
-  /// Allocation-free LogRatioRowsConst: the decoder logits (the one large
-  /// intermediate) come from `arena`; the n x 1 result is written to `out`.
+  /// Const, cache-free, allocation-free variant of LogRatioRows (see
+  /// EncodeConstInto): the decoder logits (the one large intermediate) come
+  /// from `arena`; the n x 1 result is written to `out`.
   void LogRatioRowsConstInto(const nn::Matrix& x_bits, const Posterior& post,
                              const nn::Matrix& z, nn::Matrix* out,
                              nn::ScratchArena* arena) const;
+
+  /// LogRatioRowsConstInto for a caller that already holds the decoder
+  /// logits of `z` (DecodeLogitsConstInto(z)): skips the second decoder
+  /// forward and writes the same bits to `out`.
+  static void LogRatioRowsFromLogitsInto(const nn::Matrix& x_bits,
+                                         const Posterior& post,
+                                         const nn::Matrix& z,
+                                         const nn::Matrix& logits,
+                                         nn::Matrix* out);
 
   /// Draws z ~ N(0, I) (the generative prior).
   nn::Matrix SamplePrior(size_t n, util::Rng& rng) const;

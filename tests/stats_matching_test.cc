@@ -1,6 +1,7 @@
 #include "stats/matching.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,32 @@ TEST(MatchingTest, RejectsOddOrEmptyInput) {
   EXPECT_FALSE(MinWeightPerfectMatching(odd).ok());
   DistanceMatrix ragged = {{0, 1}, {1}};
   EXPECT_FALSE(MinWeightPerfectMatching(ragged).ok());
+}
+
+TEST(MatchingTest, RejectsNonFiniteDistances) {
+  // A poisoned forward pass can put NaN or infinite coordinates into the
+  // pooled latent points. Both solvers must refuse such a matrix with a
+  // Status: the exact solver has no finite completion to trace back, and
+  // the greedy sort has no order over NaN.
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    for (size_t n : {size_t{4}, size_t{24}}) {
+      DistanceMatrix d = RandomEuclideanInstance(n, 3, 17);
+      for (size_t i = 0; i < n; ++i) {
+        if (i == 1) continue;
+        d[1][i] = bad;
+        d[i][1] = bad;
+      }
+      EXPECT_EQ(MinWeightPerfectMatching(d).status().code(),
+                util::StatusCode::kInvalidArgument)
+          << bad << " n=" << n;
+      if (n <= 22) {
+        EXPECT_EQ(ExactMinWeightPerfectMatching(d).status().code(),
+                  util::StatusCode::kInvalidArgument)
+            << bad << " n=" << n;
+      }
+    }
+  }
 }
 
 TEST(MatchingTest, TrivialTwoNodes) {

@@ -17,6 +17,38 @@ TEST(RngTest, DeterministicForSameSeed) {
   }
 }
 
+TEST(RngTest, StreamMatchesPinnedValues) {
+  // Every seeded result in the library is a function of this stream, so
+  // these first outputs for seed 2027 are pinned: a change to the generator
+  // or to its seeding shows here before it silently shifts every seed.
+  Rng u64(2027);
+  EXPECT_EQ(u64.NextUint64(), 0x6b387595e136164full);
+  EXPECT_EQ(u64.NextUint64(), 0xd3c32589f312c500ull);
+  EXPECT_EQ(u64.NextUint64(), 0xe6c64566fbc47d3bull);
+  EXPECT_EQ(u64.NextUint64(), 0xb5211bfbc51b8b31ull);
+
+  Rng dbl(2027);
+  EXPECT_EQ(dbl.NextDouble(), 0x1.ace1d65784d84p-2);
+  EXPECT_EQ(dbl.NextDouble(), 0x1.a7864b13e6258p-1);
+  EXPECT_EQ(dbl.NextDouble(), 0x1.cd8c8acdf788fp-1);
+
+  Rng gauss(2027);
+  EXPECT_EQ(gauss.NextGaussian(), 0x1.3af0f5b226751p-1);
+  EXPECT_EQ(gauss.NextGaussian(), -0x1.2ac970acd4413p+0);
+  EXPECT_EQ(gauss.NextGaussian(), -0x1.ebe4f069ced7dp-4);
+
+  Rng index(2027);
+  const std::vector<uint64_t> want_index = {7, 0, 3, 1, 4, 4, 7, 3,
+                                            7, 1, 2, 6, 1, 3, 4, 7};
+  for (size_t i = 0; i < want_index.size(); ++i) {
+    EXPECT_EQ(index.NextIndex(8), want_index[i]) << "draw " << i;
+  }
+
+  Rng child = Rng::ChildStream(2027, 3);
+  EXPECT_EQ(child.NextUint64(), 0xb7ae6e191bbecdeaull);
+  EXPECT_EQ(child.NextUint64(), 0x4420d9523cd36b2dull);
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int equal = 0;
