@@ -21,6 +21,7 @@
 #include "aqp/metrics.h"
 #include "data/generators.h"
 #include "data/workload.h"
+#include "nn/runtime.h"
 #include "relation/table.h"
 #include "util/flags.h"
 #include "util/thread_pool.h"

@@ -7,7 +7,7 @@
 //   ./bench_fig13_sampling_time [--rows 15000] [--epochs 10]
 //                               [--max_samples 100000] [--json]
 //                               [--kernel blocked|simd|auto]
-//                               [--quant off|fp16|int8|all]
+//                               [--quant off|fp16|int8] [--quant_sweep]
 //
 // --json additionally writes BENCH_fig13.json with one uniform record per
 // (kernel backend, quant mode, n, T) point: ns_per_op is sampling
@@ -15,10 +15,10 @@
 // throughput. Without --kernel the sweep runs once per fast GEMM backend
 // available on this machine (blocked, plus simd when the CPU has the ISA),
 // so the JSON records the per-backend sampling-throughput trajectory;
-// --kernel pins a single backend. --quant likewise pins (or, with "all",
-// sweeps) the decoder quantization mode; the default is whatever
-// DEEPAQP_QUANT selected, so a plain run keeps its historical single-mode
-// shape.
+// --kernel pins a single backend. The model runs under the decoder
+// quantization mode --quant or DEEPAQP_QUANT selected (off by default), so
+// a plain run keeps its historical single-mode shape; --quant_sweep runs
+// off, fp16 and int8 in turn.
 
 #include <cmath>
 
@@ -32,17 +32,12 @@ using namespace deepaqp;  // NOLINT: bench brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
-  util::ApplyThreadsFlag(flags);
   std::vector<nn::GemmKernelKind> backends;
   if (flags.Has("kernel")) {
-    if (const util::Status st = nn::ApplyKernelFlag(flags); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 2;
-    }
     backends = {nn::ActiveGemmKernel()};
   } else {
     backends = {nn::GemmKernelKind::kBlocked};
@@ -50,21 +45,10 @@ int main(int argc, char** argv) {
       backends.push_back(nn::GemmKernelKind::kSimd);
     }
   }
-  std::vector<nn::QuantMode> quant_modes;
-  const std::string quant_flag = flags.GetString("quant", "");
-  if (quant_flag == "all") {
+  std::vector<nn::QuantMode> quant_modes = {nn::ActiveQuantMode()};
+  if (flags.GetBool("quant_sweep", false)) {
     quant_modes = {nn::QuantMode::kOff, nn::QuantMode::kFp16,
                    nn::QuantMode::kInt8};
-  } else if (!quant_flag.empty()) {
-    nn::QuantMode mode;
-    if (const util::Status st = nn::ParseQuantMode(quant_flag, &mode);
-        !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 2;
-    }
-    quant_modes = {mode};
-  } else {
-    quant_modes = {nn::ActiveQuantMode()};
   }
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 15000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
@@ -93,11 +77,6 @@ int main(int argc, char** argv) {
       // A machine where the mode's kernel self-check fails just skips the
       // mode (the sweep must degrade gracefully off-AVX2); preparation
       // failure would mean a silent fp32 measurement, so it also skips.
-      if (const util::Status st = nn::SetQuantMode(quant); !st.ok()) {
-        std::fprintf(stderr, "skipping quant=%s: %s\n",
-                     nn::QuantModeName(quant), st.ToString().c_str());
-        continue;
-      }
       if (const util::Status st = (*model)->PrepareQuantized(quant);
           !st.ok()) {
         std::fprintf(stderr, "skipping quant=%s: %s\n",
@@ -137,7 +116,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  (void)nn::SetQuantMode(nn::QuantMode::kOff);
   reporter.Finish();
   return 0;
 }

@@ -14,11 +14,10 @@ using namespace deepaqp;  // NOLINT: bench brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
-  util::ApplyThreadsFlag(flags);
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 15000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 12));
   const auto queries = static_cast<size_t>(flags.GetInt("queries", 100));

@@ -87,12 +87,7 @@ std::vector<nn::GemmKernelKind> MeasuredBackends() {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  util::ApplyThreadsFlag(flags);
-  if (const util::Status st = nn::ApplyKernelFlag(flags); !st.ok()) {
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }

@@ -66,11 +66,10 @@ bool BitIdentical(const aqp::QueryResult& scalar,
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
-  util::ApplyThreadsFlag(flags);
   const bool quick = flags.GetBool("quick", false);
   const size_t rows = static_cast<size_t>(
       flags.GetInt("rows", quick ? 60000 : 200000));

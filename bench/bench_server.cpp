@@ -6,14 +6,14 @@
 // measured number rather than folklore.
 //
 //   bench_server [--sessions 8] [--queries 16] [--rows N] [--epochs N]
-//                [--quick] [--json] [--quant off|fp16|int8|all]
+//                [--quick] [--json] [--quant off|fp16|int8] [--quant_sweep]
 //                [--transport pipe|tcp|all]
 //
 // --json writes BENCH_server.json with one record per (quant mode,
 // transport, session count), carrying queries_per_sec and p50/p99 latency
 // in milliseconds.
 // --quant selects the decoder quantization the server generates under;
-// "all" sweeps off/fp16/int8 in one run for a direct fp32-vs-quantized
+// --quant_sweep runs off/fp16/int8 in turn for a direct fp32-vs-quantized
 // serving comparison (modes whose kernel self-check fails on this CPU are
 // skipped with a note).
 
@@ -161,11 +161,10 @@ struct ServerRecord {
 int main(int argc, char** argv) {
   using namespace deepaqp;
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
-  util::ApplyThreadsFlag(flags);
   const bool quick = flags.GetBool("quick", false);
   const bool json = flags.GetBool("json", false);
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 4000));
@@ -191,21 +190,10 @@ int main(int argc, char** argv) {
   std::shared_ptr<vae::VaeAqpModel> owned = std::move(*model);
   std::shared_ptr<const vae::VaeAqpModel> shared = owned;
 
-  std::vector<nn::QuantMode> quant_modes;
-  const std::string quant_flag = flags.GetString("quant", "");
-  if (quant_flag == "all") {
+  std::vector<nn::QuantMode> quant_modes = {nn::ActiveQuantMode()};
+  if (flags.GetBool("quant_sweep", false)) {
     quant_modes = {nn::QuantMode::kOff, nn::QuantMode::kFp16,
                    nn::QuantMode::kInt8};
-  } else if (!quant_flag.empty()) {
-    nn::QuantMode mode;
-    if (const util::Status st = nn::ParseQuantMode(quant_flag, &mode);
-        !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 2;
-    }
-    quant_modes = {mode};
-  } else {
-    quant_modes = {nn::ActiveQuantMode()};
   }
 
   // Cycle the workload out to the requested per-session query count.
@@ -236,11 +224,6 @@ int main(int argc, char** argv) {
 
   std::vector<ServerRecord> records;
   for (nn::QuantMode quant : quant_modes) {
-    if (const util::Status st = nn::SetQuantMode(quant); !st.ok()) {
-      std::fprintf(stderr, "skipping quant=%s: %s\n",
-                   nn::QuantModeName(quant), st.ToString().c_str());
-      continue;
-    }
     if (const util::Status st = owned->PrepareQuantized(quant); !st.ok()) {
       std::fprintf(stderr, "skipping quant=%s: %s\n",
                    nn::QuantModeName(quant), st.ToString().c_str());
@@ -318,8 +301,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  (void)nn::SetQuantMode(nn::QuantMode::kOff);
-
   if (json) {
     const char* path = "BENCH_server.json";
     std::FILE* f = std::fopen(path, "w");

@@ -29,6 +29,10 @@ void PrintThroughputRow(const std::string& series, const char* op,
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 20000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 3));
   const int reps = static_cast<int>(flags.GetInt("reps", 20));

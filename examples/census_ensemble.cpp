@@ -13,15 +13,18 @@
 #include "data/workload.h"
 #include "ensemble/ensemble_model.h"
 #include "ensemble/partitioning.h"
+#include "nn/runtime.h"
 #include "util/flags.h"
-#include "util/thread_pool.h"
 #include "vae/vae_model.h"
 
 using namespace deepaqp;  // NOLINT: example brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  util::ApplyThreadsFlag(flags);
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 12000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
   const int k = static_cast<int>(flags.GetInt("k", 3));

@@ -14,15 +14,18 @@
 #include "aqp/metrics.h"
 #include "aqp/online.h"
 #include "data/generators.h"
+#include "nn/runtime.h"
 #include "util/flags.h"
-#include "util/thread_pool.h"
 #include "vae/vae_model.h"
 
 using namespace deepaqp;  // NOLINT: example brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  util::ApplyThreadsFlag(flags);
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 15000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 15));
   const double target_ci = flags.GetDouble("target_ci", 0.02);

@@ -9,8 +9,8 @@
 #include "aqp/executor.h"
 #include "aqp/metrics.h"
 #include "data/generators.h"
+#include "nn/runtime.h"
 #include "util/flags.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "vae/vae_model.h"
 
@@ -18,7 +18,10 @@ using namespace deepaqp;  // NOLINT: example brevity
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  util::ApplyThreadsFlag(flags);
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 10000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 15));
   const double sample_frac = flags.GetDouble("sample_frac", 0.01);

@@ -13,8 +13,8 @@
 #include "aqp/executor.h"
 #include "aqp/metrics.h"
 #include "data/generators.h"
+#include "nn/runtime.h"
 #include "util/flags.h"
-#include "util/thread_pool.h"
 #include "vae/vae_model.h"
 
 using namespace deepaqp;  // NOLINT: example brevity
@@ -52,7 +52,10 @@ void PrintGroupBy(const relation::Table& table,
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  util::ApplyThreadsFlag(flags);
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 20000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 20));
   const double sample_frac = flags.GetDouble("sample_frac", 0.02);

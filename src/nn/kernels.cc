@@ -26,8 +26,6 @@
 #include "nn/kernels.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -129,33 +127,22 @@ GemmKernelKind BestAvailableKernel() {
                                : GemmKernelKind::kBlocked;
 }
 
-GemmKernelKind KindFromEnv() {
-  const char* env = std::getenv("DEEPAQP_KERNEL");
-  if (env == nullptr || env[0] == '\0') return BestAvailableKernel();
-  GemmKernelKind kind;
-  const util::Status parsed = ParseGemmKernelKind(env, &kind);
-  if (!parsed.ok()) {
-    std::fprintf(stderr,
-                 "DEEPAQP_KERNEL='%s' not recognized "
-                 "(blocked|simd|auto); keeping '%s'\n",
-                 env, GemmKernelKindName(BestAvailableKernel()));
-    return BestAvailableKernel();
-  }
+util::Status CheckRunnable(GemmKernelKind kind) {
   if (kind == GemmKernelKind::kSimd && !SimdKernelAvailable()) {
-    // A faster-kernel request must never become SIGILL: degrade to the
-    // portable blocked kernel, loudly. (The --kernel flag path is strict
-    // instead — see ApplyKernelFlag.)
-    std::fprintf(stderr,
-                 "DEEPAQP_KERNEL=simd but this CPU/toolchain lacks the ISA "
-                 "(%s built in); falling back to 'blocked'\n",
-                 internal::SimdBackendIsa());
-    return GemmKernelKind::kBlocked;
+    return util::Status::FailedPrecondition(
+        std::string("simd kernel unavailable: binary ISA '") +
+        internal::SimdBackendIsa() + "', cpu features '" +
+        util::CpuFeaturesToString(util::CpuInfo()) + "'");
   }
-  return kind;
+  return util::Status::OK();
 }
 
 GemmKernelKind& KernelSlot() {
-  static GemmKernelKind kind = KindFromEnv();
+  // The environment's "simd" on a CPU without the ISA is rejected by the
+  // parse step and so keeps the default, blocked: requesting a faster kernel
+  // must never become SIGILL.
+  static GemmKernelKind kind = util::EnvKnobOr(
+      "DEEPAQP_KERNEL", BestAvailableKernel(), &ParseRunnableGemmKernel);
   return kind;
 }
 
@@ -347,12 +334,7 @@ bool SimdKernelAvailable() {
 }
 
 util::Status SetGemmKernelKind(GemmKernelKind kind) {
-  if (kind == GemmKernelKind::kSimd && !SimdKernelAvailable()) {
-    return util::Status::FailedPrecondition(
-        std::string("simd kernel unavailable: binary ISA '") +
-        internal::SimdBackendIsa() + "', cpu features '" +
-        util::CpuFeaturesToString(util::CpuInfo()) + "'");
-  }
+  DEEPAQP_RETURN_IF_ERROR(CheckRunnable(kind));
   KernelSlot() = kind;
   return util::Status::OK();
 }
@@ -388,12 +370,13 @@ util::Status ParseGemmKernelKind(std::string_view name,
   return util::Status::OK();
 }
 
-util::Status ApplyKernelFlag(const util::Flags& flags) {
-  const std::string value = flags.GetString("kernel", "");
-  if (value.empty()) return util::Status::OK();
-  GemmKernelKind kind;
-  DEEPAQP_RETURN_IF_ERROR(ParseGemmKernelKind(value, &kind));
-  return SetGemmKernelKind(kind);
+util::Status ParseRunnableGemmKernel(std::string_view name,
+                                     GemmKernelKind* kind) {
+  GemmKernelKind parsed;
+  DEEPAQP_RETURN_IF_ERROR(ParseGemmKernelKind(name, &parsed));
+  DEEPAQP_RETURN_IF_ERROR(CheckRunnable(parsed));
+  *kind = parsed;
+  return util::Status::OK();
 }
 
 void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,

@@ -8,10 +8,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 
-namespace deepaqp::util {
-class Flags;
-}  // namespace deepaqp::util
-
 namespace deepaqp::nn {
 
 /// Which GEMM implementation backs nn::Gemm / nn::ShardedGemmTN and the
@@ -37,13 +33,14 @@ namespace deepaqp::nn {
 /// tests and bench_kernels compare both kinds against.
 enum class GemmKernelKind { kBlocked, kSimd };
 
-/// Active kernel. Initialized once from the DEEPAQP_KERNEL environment
-/// variable ("blocked" or "simd"); unset picks the best backend
-/// the running CPU supports (simd where available, else blocked). "simd"
-/// on hardware without a supported vector ISA warns and falls back to
-/// blocked — requesting a faster kernel must never turn into SIGILL.
-/// Unrecognized values warn to stderr and keep the auto-selected default;
-/// binaries that take --kernel get a hard error via ApplyKernelFlag.
+/// Active kernel. Initialized once, on first use, from the DEEPAQP_KERNEL
+/// environment variable through ParseRunnableGemmKernel under the one
+/// environment policy (util::ApplyEnvKnob); unset picks the best backend
+/// the running CPU supports (simd where available, else blocked). A value
+/// the parse step rejects (unknown, or "simd" on hardware without a
+/// supported vector ISA) warns and keeps that default, so requesting a
+/// faster kernel never turns into SIGILL. The `--kernel` flag goes through
+/// the same parse step in ApplyRuntimeFlags and is an error instead.
 GemmKernelKind ActiveGemmKernel();
 
 /// True when the SIMD backend is usable in this process: the binary carries
@@ -69,12 +66,11 @@ const char* GemmKernelKindName(GemmKernelKind kind);
 [[nodiscard]] util::Status ParseGemmKernelKind(std::string_view name,
                                                GemmKernelKind* kind);
 
-/// Reads the `--kernel=blocked|simd|auto` flag and applies it
-/// (deepaqp_cli and the bench/tool binaries; mirrors util::ApplyThreadsFlag).
-/// Unknown values and `--kernel=simd` on hardware without the ISA return a
-/// descriptive error instead of silently falling back — the explicit flag
-/// is a stronger statement of intent than the environment variable.
-[[nodiscard]] util::Status ApplyKernelFlag(const util::Flags& flags);
+/// The parse step of DEEPAQP_KERNEL and `--kernel`: ParseGemmKernelKind,
+/// then FailedPrecondition when the named kernel cannot run on this CPU.
+/// `*kind` is untouched on error.
+[[nodiscard]] util::Status ParseRunnableGemmKernel(std::string_view name,
+                                                   GemmKernelKind* kind);
 
 /// The seed repository's triple-loop GEMM, byte-for-byte semantics:
 /// C = alpha * op(A) @ op(B) + beta * C, row-parallel over large outputs.

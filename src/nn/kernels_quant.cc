@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -502,6 +502,7 @@ util::Status QuantizeSequential(const Sequential& seq, QuantMode mode,
     return util::Status::InvalidArgument(
         "QuantizeSequential: mode must be fp16 or int8");
   }
+  DEEPAQP_RETURN_IF_ERROR(CheckQuantKernel(mode));
   QuantizedSequential out;
   out.mode = mode;
   DEEPAQP_RETURN_IF_ERROR(AppendPlanSteps(seq, mode, &out));
@@ -640,44 +641,34 @@ util::Status RunQuantSelfCheck(QuantMode mode) {
   return util::Status::OK();
 }
 
-QuantMode BestEffortModeFromEnv() {
-  const char* env = std::getenv("DEEPAQP_QUANT");
-  if (env == nullptr || env[0] == '\0') return QuantMode::kOff;
-  QuantMode mode;
-  const util::Status parsed = ParseQuantMode(env, &mode);
-  if (!parsed.ok()) {
-    std::fprintf(stderr,
-                 "DEEPAQP_QUANT='%s' not recognized (off|fp16|int8); "
-                 "keeping 'off'\n",
-                 env);
-    return QuantMode::kOff;
-  }
-  if (mode != QuantMode::kOff) {
-    // The env path never hard-fails: a broken kernel degrades to fp32,
-    // loudly. (The --quant flag path is strict — see ApplyQuantFlag.)
-    const util::Status check = RunQuantSelfCheck(mode);
-    if (!check.ok()) {
-      std::fprintf(stderr, "DEEPAQP_QUANT=%s disabled: %s\n",
-                   QuantModeName(mode), check.message().c_str());
-      return QuantMode::kOff;
-    }
-  }
-  return mode;
-}
-
 QuantMode& QuantSlot() {
-  static QuantMode mode = BestEffortModeFromEnv();
+  // A mode whose kernel self-check fails is rejected by the parse step, so
+  // the environment degrades it to fp32, loudly.
+  static QuantMode mode = util::EnvKnobOr("DEEPAQP_QUANT", QuantMode::kOff,
+                                          &ParseCheckedQuantMode);
   return mode;
 }
 
 }  // namespace
 
+util::Status CheckQuantKernel(QuantMode mode) {
+  if (mode == QuantMode::kOff) return util::Status::OK();
+  // Keyed on whether the vectorized kernel is usable too, so a check that
+  // ran only the scalar oracle never vouches for the vector kernel.
+  static std::mutex mu;
+  static std::optional<util::Status> results[3][2];
+  const bool simd = QuantSimdAvailable(mode);
+  std::lock_guard<std::mutex> lock(mu);
+  std::optional<util::Status>& result =
+      results[static_cast<int>(mode)][simd ? 1 : 0];
+  if (!result.has_value()) result = RunQuantSelfCheck(mode);
+  return *result;
+}
+
 QuantMode ActiveQuantMode() { return QuantSlot(); }
 
 util::Status SetQuantMode(QuantMode mode) {
-  if (mode != QuantMode::kOff) {
-    DEEPAQP_RETURN_IF_ERROR(RunQuantSelfCheck(mode));
-  }
+  DEEPAQP_RETURN_IF_ERROR(CheckQuantKernel(mode));
   QuantSlot() = mode;
   return util::Status::OK();
 }
@@ -708,12 +699,12 @@ util::Status ParseQuantMode(std::string_view name, QuantMode* mode) {
   return util::Status::OK();
 }
 
-util::Status ApplyQuantFlag(const util::Flags& flags) {
-  const std::string value = flags.GetString("quant", "");
-  if (value.empty()) return util::Status::OK();
-  QuantMode mode;
-  DEEPAQP_RETURN_IF_ERROR(ParseQuantMode(value, &mode));
-  return SetQuantMode(mode);
+util::Status ParseCheckedQuantMode(std::string_view name, QuantMode* mode) {
+  QuantMode parsed;
+  DEEPAQP_RETURN_IF_ERROR(ParseQuantMode(name, &parsed));
+  DEEPAQP_RETURN_IF_ERROR(CheckQuantKernel(parsed));
+  *mode = parsed;
+  return util::Status::OK();
 }
 
 }  // namespace deepaqp::nn

@@ -10,10 +10,6 @@
 #include "nn/matrix.h"
 #include "util/status.h"
 
-namespace deepaqp::util {
-class Flags;
-}  // namespace deepaqp::util
-
 namespace deepaqp::nn {
 
 class ScratchArena;
@@ -37,14 +33,15 @@ class Sequential;
 ///   dequantize+bias+activation epilogue.
 enum class QuantMode { kOff, kFp16, kInt8 };
 
-/// Active quantization mode. Initialized once from the DEEPAQP_QUANT
-/// environment variable ("off", "fp16", or "int8"; unset means off).
-/// Unrecognized values warn to stderr and keep off; a recognized quantized
-/// mode whose kernel self-check fails also warns and keeps off — the env
-/// path never hard-fails (binaries that take --quant get a hard error via
-/// ApplyQuantFlag instead). Note quantized execution additionally requires
-/// the model to have been prepared (see VaeNet::PrepareQuantizedDecoder);
-/// an unprepared model under a quantized mode keeps running fp32.
+/// The mode Train() and Deserialize() prepare new models for (see
+/// vae::VaeAqpModel::PrepareQuantized); whether a model's generation runs
+/// quantized is decided by the plan it carries, never by this value.
+/// Initialized once, on first use, from the DEEPAQP_QUANT environment
+/// variable ("off", "fp16", or "int8"; unset means off) through
+/// ParseCheckedQuantMode under the one environment policy
+/// (util::ApplyEnvKnob): an unrecognized value, or a mode whose kernel
+/// self-check fails, warns and keeps off. The `--quant` flag goes through
+/// the same parse step in ApplyRuntimeFlags and is an error instead.
 QuantMode ActiveQuantMode();
 
 /// True when the vectorized kernel for `mode` is usable in this process:
@@ -55,14 +52,20 @@ QuantMode ActiveQuantMode();
 /// CPU.
 bool QuantSimdAvailable(QuantMode mode);
 
-/// Overrides the active quantization mode. For a quantized mode this first
-/// runs the kernel self-check (scalar oracle vs vectorized kernel on fixed
-/// deterministic inputs, plus quantize round-trip bounds) and fails with
-/// FailedPrecondition — leaving the active mode unchanged — if any check
-/// trips: quantized inference refuses to engage on a machine where its
-/// kernels misbehave. Not safe while parallel compute is in flight; set it
-/// up front (tests, benches, main()).
+/// Sets the mode new models are prepared for, after CheckQuantKernel(mode);
+/// on a failed check it returns FailedPrecondition and leaves the mode
+/// unchanged. Not safe while models are being trained or loaded; set it up
+/// front (tests, main()).
 [[nodiscard]] util::Status SetQuantMode(QuantMode mode);
+
+/// The kernel self-check for `mode` (OK for kOff): scalar oracle vs the
+/// vectorized kernel on fixed deterministic inputs, plus quantize
+/// round-trip and fp32 error bounds. Any trip is FailedPrecondition, and
+/// no quantized plan is built for that mode: quantized inference refuses
+/// to engage on a machine where its kernels misbehave. Runs once per mode
+/// and per QuantSimdAvailable(mode) value in a process; later calls return
+/// the cached result. Thread-safe.
+[[nodiscard]] util::Status CheckQuantKernel(QuantMode mode);
 
 /// "off" / "fp16" / "int8".
 const char* QuantModeName(QuantMode mode);
@@ -72,11 +75,10 @@ const char* QuantModeName(QuantMode mode);
 [[nodiscard]] util::Status ParseQuantMode(std::string_view name,
                                           QuantMode* mode);
 
-/// Reads the `--quant=off|fp16|int8` flag and applies it via SetQuantMode
-/// (deepaqp_cli and the bench/tool binaries; mirrors ApplyKernelFlag).
-/// Unknown values and a failing kernel self-check return a descriptive
-/// error instead of silently falling back.
-[[nodiscard]] util::Status ApplyQuantFlag(const util::Flags& flags);
+/// The parse step of DEEPAQP_QUANT and `--quant`: ParseQuantMode, then
+/// CheckQuantKernel. `*mode` is untouched on error.
+[[nodiscard]] util::Status ParseCheckedQuantMode(std::string_view name,
+                                                 QuantMode* mode);
 
 /// IEEE 754 binary16 conversions (software, round-to-nearest-even on
 /// narrowing; widening is exact). Exposed for tests; the fp16 kernels use
@@ -143,7 +145,8 @@ struct QuantizedSequential {
 /// with optional directly-following activations (including nested
 /// Sequentials, which are flattened) — i.e. every decoder this library
 /// builds. Returns Unimplemented for any other layer pattern so callers can
-/// fall back to the fp32 path, and InvalidArgument for kOff.
+/// fall back to the fp32 path, InvalidArgument for kOff, and the
+/// FailedPrecondition of CheckQuantKernel(mode) when the self-check fails.
 [[nodiscard]] util::Status QuantizeSequential(const Sequential& seq,
                                               QuantMode mode,
                                               QuantizedSequential* plan);

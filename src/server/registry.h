@@ -29,9 +29,8 @@ struct ModelSnapshot {
   /// Serialized size (0 when installed from an in-memory model).
   size_t snapshot_bytes = 0;
   /// Decoder quantization plan the model carried at install time
-  /// (nn::QuantMode::kOff for plain fp32). Provenance only — whether
-  /// generation actually runs quantized is still gated by the process-wide
-  /// nn::ActiveQuantMode() matching the prepared mode.
+  /// (nn::QuantMode::kOff for plain fp32): the mode this version's
+  /// generation runs under.
   nn::QuantMode quant_mode = nn::QuantMode::kOff;
 };
 

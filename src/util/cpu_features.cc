@@ -1,7 +1,7 @@
 #include "util/cpu_features.h"
 
-#include <cstdlib>
-
+#include "util/flags.h"
+#include "util/status.h"
 #include "util/string_util.h"
 
 #if defined(__aarch64__) && defined(__linux__)
@@ -14,6 +14,32 @@
 namespace deepaqp::util {
 
 namespace {
+
+/// Parses a DEEPAQP_CPU_DISABLE list and masks the named features off.
+/// InvalidArgument on an unknown name; `*features` is untouched on error.
+Status MaskCpuFeatures(std::string_view list, CpuFeatures* features) {
+  CpuFeatures masked = *features;
+  for (const std::string& name : Split(list, ',')) {
+    const std::string token = Trim(name);
+    if (token.empty()) continue;
+    if (token == "avx2") {
+      masked.avx2 = false;
+    } else if (token == "fma") {
+      masked.fma = false;
+    } else if (token == "f16c") {
+      masked.f16c = false;
+    } else if (token == "avx512f") {
+      masked.avx512f = false;
+    } else if (token == "neon") {
+      masked.neon = false;
+    } else {
+      return Status::InvalidArgument("unknown cpu feature '" + token +
+                                     "' (avx2|fma|f16c|avx512f|neon)");
+    }
+  }
+  *features = masked;
+  return Status::OK();
+}
 
 CpuFeatures Detect() {
   CpuFeatures f;
@@ -32,17 +58,6 @@ CpuFeatures Detect() {
   f.neon = true;
 #endif
 #endif
-  const char* disable = std::getenv("DEEPAQP_CPU_DISABLE");
-  if (disable != nullptr && disable[0] != '\0') {
-    for (const std::string& name : Split(disable, ',')) {
-      const std::string token = Trim(name);
-      if (token == "avx2") f.avx2 = false;
-      if (token == "fma") f.fma = false;
-      if (token == "f16c") f.f16c = false;
-      if (token == "avx512f") f.avx512f = false;
-      if (token == "neon") f.neon = false;
-    }
-  }
   return f;
 }
 
@@ -51,7 +66,8 @@ const CpuFeatures* g_test_override = nullptr;
 }  // namespace
 
 const CpuFeatures& CpuInfo() {
-  static const CpuFeatures detected = Detect();
+  static const CpuFeatures detected =
+      EnvKnobOr("DEEPAQP_CPU_DISABLE", Detect(), &MaskCpuFeatures);
   return g_test_override != nullptr ? *g_test_override : detected;
 }
 

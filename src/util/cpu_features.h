@@ -20,7 +20,9 @@ struct CpuFeatures {
 /// The detected features of the running CPU, cached after the first call.
 /// The environment variable `DEEPAQP_CPU_DISABLE` (comma-separated subset
 /// of "avx2,fma,f16c,avx512f,neon", read once) masks features off — the
-/// knob CI uses to exercise the no-SIMD fallback path on SIMD hardware.
+/// knob CI uses to exercise the no-SIMD fallback path on SIMD hardware. A
+/// list naming an unknown feature warns and masks nothing (the one
+/// environment policy, util::ApplyEnvKnob).
 const CpuFeatures& CpuInfo();
 
 /// Overrides CpuInfo() for tests (pass nullptr to restore real detection).

@@ -1,8 +1,6 @@
 #include "util/failpoint.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 
@@ -206,16 +204,6 @@ void DisableFailpoints() {
   GlobalRegistry() = Registry();
 }
 
-void ApplyFailpointsFlag(const Flags& flags) {
-  const std::string spec = flags.GetString("failpoints", "");
-  if (spec.empty()) return;
-  const Status status = ConfigureFailpoints(spec);
-  if (!status.ok()) {
-    std::fprintf(stderr, "--failpoints: %s\n", status.ToString().c_str());
-    std::exit(2);
-  }
-}
-
 std::vector<FailpointSiteStats> FailpointReport() {
   std::vector<FailpointSiteStats> report;
   std::lock_guard<std::mutex> lock(RegistryMutex());
@@ -254,21 +242,15 @@ void ResetFailpointCounters() {
 
 namespace {
 
-/// Reads DEEPAQP_FAILPOINTS once at process start; an unparsable spec warns
-/// and leaves fail points disabled (a chaos knob must never take down a
-/// production binary by itself).
-struct EnvInitializer {
-  EnvInitializer() {
-    const char* env = std::getenv("DEEPAQP_FAILPOINTS");
-    if (env == nullptr || env[0] == '\0') return;
-    const Status status = ConfigureFailpoints(env);
-    if (!status.ok()) {
-      std::fprintf(stderr, "DEEPAQP_FAILPOINTS ignored: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-};
-const EnvInitializer g_env_initializer;
+/// Reads DEEPAQP_FAILPOINTS once at process start. An unparsable spec warns
+/// and leaves fail points disabled: a chaos knob must never take down a
+/// production binary by itself.
+[[maybe_unused]] const bool g_env_applied = [] {
+  ApplyEnvKnob("DEEPAQP_FAILPOINTS", [](std::string_view spec) {
+    return ConfigureFailpoints(std::string(spec));
+  });
+  return true;
+}();
 
 }  // namespace
 

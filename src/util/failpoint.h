@@ -10,8 +10,6 @@
 
 namespace deepaqp::util {
 
-class Flags;
-
 /// Deterministic fault-injection registry ("fail points"). Hot paths name a
 /// site and ask whether an injected fault should fire there:
 ///
@@ -23,8 +21,9 @@ class Flags;
 /// atomic load and branch, so instrumented hot paths (GEMM dispatch, arena
 /// acquisition, sample generation) pay nothing measurable in production.
 /// Activation happens once, up front, via the DEEPAQP_FAILPOINTS environment
-/// variable, the --failpoints flag (ApplyFailpointsFlag), or
-/// ConfigureFailpoints directly in tests.
+/// variable (read at process start; a bad spec warns and stays disabled),
+/// the --failpoints flag (nn::ApplyRuntimeFlags; a bad spec is an error),
+/// or ConfigureFailpoints directly in tests.
 ///
 /// Spec grammar (comma-separated entries, applied in order):
 ///
@@ -79,11 +78,6 @@ Status ConfigureFailpoints(const std::string& spec);
 
 /// Disables the subsystem and clears the configuration and counters.
 void DisableFailpoints();
-
-/// Reads the --failpoints flag and applies it; an invalid spec aborts with a
-/// usage message. Without the flag the
-/// DEEPAQP_FAILPOINTS environment variable (read once at startup) stands.
-void ApplyFailpointsFlag(const Flags& flags);
 
 /// Per-site evaluation/fire counters since the last configure/reset — the
 /// structured fault log chaos runs persist as an artifact.

@@ -1,5 +1,8 @@
 #include "util/flags.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "util/string_util.h"
 
 namespace deepaqp::util {
@@ -48,6 +51,17 @@ bool Flags::GetBool(const std::string& name, bool def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+void ApplyEnvKnob(const char* var,
+                  const std::function<Status(std::string_view)>& apply) {
+  const char* value = std::getenv(var);
+  if (value == nullptr || value[0] == '\0') return;
+  const Status status = apply(value);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s='%s' ignored: %s; keeping the default\n", var,
+                 value, status.message().c_str());
+  }
 }
 
 }  // namespace deepaqp::util

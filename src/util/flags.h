@@ -2,15 +2,14 @@
 #define DEEPAQP_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
+
+#include "util/status.h"
 
 namespace deepaqp::util {
-
-/// Canonical name of the global parallelism flag: `--threads=N` sizes the
-/// process-wide thread pool (0, the default, means hardware concurrency).
-/// Binaries parse it with Flags and apply it via util::ApplyThreadsFlag.
-inline constexpr char kThreadsFlag[] = "threads";
 
 /// Minimal command-line flag parser for example/bench binaries. Accepts
 /// "--name=value" and "--name value"; unknown flags are collected so callers
@@ -31,6 +30,27 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// The one policy for a process knob read from the environment
+/// (DEEPAQP_KERNEL, _QUANT, _PIN, _FAILPOINTS, _CPU_DISABLE). When `var` is
+/// set and non-empty, `apply` runs on its value: the same parse-and-check
+/// step the matching command-line flag uses. A value `apply` rejects prints
+/// one warning to stderr in a shared format and the knob keeps its default,
+/// so a bad environment never takes a binary down; the flag path returns
+/// the same error instead (nn::ApplyRuntimeFlags).
+void ApplyEnvKnob(const char* var,
+                  const std::function<Status(std::string_view)>& apply);
+
+/// ApplyEnvKnob for a knob held in a value: returns what `parse` makes of
+/// `var`, or `def` when it is unset or rejected. `parse` must leave its
+/// output untouched on error, as every Parse* function of the knobs does.
+template <typename T>
+T EnvKnobOr(const char* var, T def, Status (*parse)(std::string_view, T*)) {
+  ApplyEnvKnob(var, [&def, parse](std::string_view text) {
+    return parse(text, &def);
+  });
+  return def;
+}
 
 }  // namespace deepaqp::util
 

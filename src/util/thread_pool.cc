@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "util/flags.h"
 #include "util/logging.h"
 
 namespace deepaqp::util {
@@ -313,10 +312,6 @@ void SetGlobalThreads(int parallelism) {
 int GlobalThreads() {
   std::lock_guard<std::mutex> lock(GlobalPoolMutex());
   return LockedGlobalPool().num_threads();
-}
-
-void ApplyThreadsFlag(const Flags& flags) {
-  SetGlobalThreads(static_cast<int>(flags.GetInt(kThreadsFlag, 0)));
 }
 
 void ParallelFor(size_t begin, size_t end,

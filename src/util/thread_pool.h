@@ -13,8 +13,6 @@
 
 namespace deepaqp::util {
 
-class Flags;
-
 /// Fixed-size thread pool used by every parallel hot path (training GEMMs,
 /// synthetic-sample generation, pairwise distances, per-partition ensemble
 /// training).
@@ -110,16 +108,13 @@ ThreadPool& GlobalThreadPool();
 /// Replaces the global pool with one of the given parallelism (0 or negative
 /// means hardware concurrency). Not safe while parallel work is in flight.
 /// The new pool replans placement, so this is also how a SetPinPolicy or
-/// SetTopologyForTest change takes effect.
+/// SetTopologyForTest change takes effect. Binaries size it with the
+/// `--threads` flag through nn::ApplyRuntimeFlags, which sets `--pin`
+/// first.
 void SetGlobalThreads(int parallelism);
 
 /// Parallelism of the global pool.
 int GlobalThreads();
-
-/// Reads the global `--threads` flag (0 = hardware concurrency) and resizes
-/// the global pool accordingly. Call once from main() after parsing flags
-/// (and after ApplyPinFlag, so the pool picks the placement policy up).
-void ApplyThreadsFlag(const Flags& flags);
 
 /// ParallelFor on the global pool.
 void ParallelFor(size_t begin, size_t end,

@@ -1,8 +1,6 @@
 #include "util/topology.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "util/flags.h"
@@ -231,21 +229,9 @@ Status ParsePinPolicy(std::string_view name, PinPolicy* policy) {
 
 namespace {
 
-PinPolicy PolicyFromEnv() {
-  const char* env = std::getenv("DEEPAQP_PIN");
-  if (env == nullptr || env[0] == '\0') return PinPolicy::kOff;
-  PinPolicy policy = PinPolicy::kOff;
-  if (const Status st = ParsePinPolicy(env, &policy); !st.ok()) {
-    std::fprintf(stderr,
-                 "DEEPAQP_PIN='%s' not recognized (off|compact|scatter); "
-                 "keeping 'off'\n",
-                 env);
-  }
-  return policy;
-}
-
 PinPolicy& PolicySlot() {
-  static PinPolicy policy = PolicyFromEnv();
+  static PinPolicy policy =
+      EnvKnobOr("DEEPAQP_PIN", PinPolicy::kOff, &ParsePinPolicy);
   return policy;
 }
 
@@ -254,18 +240,6 @@ PinPolicy& PolicySlot() {
 PinPolicy ActivePinPolicy() { return PolicySlot(); }
 
 void SetPinPolicy(PinPolicy policy) { PolicySlot() = policy; }
-
-Status ApplyPinFlag(const Flags& flags) {
-  const std::string value = flags.GetString(kPinFlag, "");
-  if (value.empty()) return Status::OK();
-  PinPolicy policy = PinPolicy::kOff;
-  if (Status st = ParsePinPolicy(value, &policy); !st.ok()) {
-    return Status::InvalidArgument("--pin=" + value +
-                                   " not recognized (off|compact|scatter)");
-  }
-  SetPinPolicy(policy);
-  return Status::OK();
-}
 
 std::vector<LanePlacement> PlanPlacement(const CpuTopology& topology,
                                          PinPolicy policy, int lanes) {

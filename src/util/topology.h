@@ -10,14 +10,6 @@
 
 namespace deepaqp::util {
 
-class Flags;
-
-/// Canonical name of the placement flag: `--pin=off|compact|scatter` selects
-/// the worker-placement policy of the shared thread pool (see PinPolicy).
-/// Binaries parse it with Flags and apply it via util::ApplyPinFlag *before*
-/// util::ApplyThreadsFlag, so the rebuilt pool picks the policy up.
-inline constexpr char kPinFlag[] = "pin";
-
 /// One NUMA node: its sysfs id and the online CPUs it owns (ascending).
 struct NumaNode {
   int id = 0;
@@ -94,21 +86,17 @@ const char* PinPolicyName(PinPolicy policy);
 /// anything else; `*policy` is untouched on error.
 [[nodiscard]] Status ParsePinPolicy(std::string_view name, PinPolicy* policy);
 
-/// Active placement policy. Initialized once from the DEEPAQP_PIN
-/// environment variable; unset or unrecognized values keep kOff (with a
-/// stderr warning for the latter). Consulted by ThreadPool at construction
-/// time.
+/// Active placement policy. Initialized once, on first use, from the
+/// DEEPAQP_PIN environment variable under the one environment policy
+/// (util::ApplyEnvKnob): unset or unrecognized values keep kOff, the latter
+/// with a warning. The `--pin` flag sets it through nn::ApplyRuntimeFlags,
+/// which rebuilds the pool afterwards. Consulted by ThreadPool at
+/// construction time.
 PinPolicy ActivePinPolicy();
 
 /// Overrides the active policy. Takes effect when the pool is next rebuilt
 /// (SetGlobalThreads); not safe while parallel work is in flight.
 void SetPinPolicy(PinPolicy policy);
-
-/// Reads `--pin=off|compact|scatter` and applies it (deepaqp_cli and the
-/// bench binaries; mirrors nn::ApplyKernelFlag: the explicit flag hard-
-/// errors on unknown values where the env var only warns). Call before
-/// ApplyThreadsFlag so the rebuilt pool plans placement under the policy.
-[[nodiscard]] Status ApplyPinFlag(const Flags& flags);
 
 /// Where one pool lane should run: a CPU to pin to (-1 = leave unpinned)
 /// and the dense index into CpuTopology::nodes of the node that CPU

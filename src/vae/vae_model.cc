@@ -17,9 +17,9 @@ using nn::Matrix;
 
 namespace {
 
-/// Builds the quantized decoder plan for the process-wide active mode so a
-/// freshly trained / deserialized model is immediately usable under
-/// DEEPAQP_QUANT. Preparation failure (e.g. non-finite weights) downgrades
+/// Builds the quantized decoder plan for nn::ActiveQuantMode() so a
+/// freshly trained / deserialized model runs under DEEPAQP_QUANT or
+/// --quant. Preparation failure (e.g. non-finite weights) downgrades
 /// to fp32 with a warning rather than failing model construction — the
 /// quantized plan is a derived acceleration, never required for
 /// correctness.
@@ -535,15 +535,7 @@ relation::Table VaeAqpModel::GenerateChunk(size_t n, double t,
 GenerateWhereResult VaeAqpModel::GenerateWhereReport(
     size_t n, const aqp::Predicate& predicate, double t, util::Rng& rng,
     size_t max_candidates) const {
-  relation::Table out(encoder_.schema());
-  for (size_t c = 0; c < encoder_.schema().num_attributes(); ++c) {
-    if (encoder_.schema().IsCategorical(c)) {
-      out.DeclareCardinality(c, encoder_.layout()[c].cardinality);
-      for (const std::string& label : encoder_.layout()[c].labels) {
-        out.InternLabel(c, label);
-      }
-    }
-  }
+  relation::Table out = MakeEmptySampleTable();
   size_t candidates = 0;
   while (out.num_rows() < n && candidates < max_candidates) {
     const size_t batch =

@@ -197,11 +197,11 @@ class VaeAqpModel {
       const std::vector<uint8_t>& bytes);
 
   /// (Re)builds the decoder's quantized inference plan for `mode` from the
-  /// canonical fp32 weights (kOff discards it). Generation uses the plan
-  /// only while `mode` matches nn::ActiveQuantMode(); training and the
-  /// serialized format stay fp32. Train()/Deserialize() call this
-  /// automatically for the active mode, so explicit calls are only needed
-  /// after switching modes at runtime (benchmarks, tests).
+  /// canonical fp32 weights (kOff discards it), after the mode's kernel
+  /// self-check. Generation runs under whatever plan the model carries;
+  /// training and the serialized format stay fp32. Train()/Deserialize()
+  /// call this for nn::ActiveQuantMode(), so explicit calls are only needed
+  /// to run one model under another mode (benchmarks, tests).
   util::Status PrepareQuantized(nn::QuantMode mode) {
     return net_->PrepareQuantizedDecoder(mode);
   }

@@ -59,12 +59,9 @@ Matrix VaeNet::DecodeLogits(const Matrix& z) { return decoder_->Forward(z); }
 
 void VaeNet::DecodeLogitsConstInto(const Matrix& z, Matrix* logits,
                                    nn::ScratchArena* arena) const {
-  // The quantized plan engages only when it matches the process-wide active
-  // mode: under DEEPAQP_QUANT=off (or with no prepared plan) this is the
-  // canonical fp32 path, bit for bit, and a plan prepared for one mode can
-  // never serve another.
-  const nn::QuantMode active = nn::ActiveQuantMode();
-  if (active != nn::QuantMode::kOff && decoder_quant_.mode == active) {
+  // The model's prepared plan decides: without one (or after preparing
+  // kOff) this is the canonical fp32 path, bit for bit.
+  if (decoder_quant_.engaged()) {
     nn::QuantizedInferenceForwardInto(decoder_quant_, z, logits, arena);
     return;
   }

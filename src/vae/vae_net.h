@@ -167,12 +167,12 @@ class VaeNet {
       util::ByteReader& r);
 
   /// (Re)builds the quantized decoder plan for `mode` from the canonical
-  /// fp32 weights (kOff clears it). The plan is used by the const decoder
-  /// forwards — i.e. the sampling hot path — only while the prepared mode
-  /// equals nn::ActiveQuantMode(), so DEEPAQP_QUANT=off stays bit-identical
-  /// to a build without quantization and a stale plan can never leak into a
-  /// different mode. Training always runs fp32. Not thread-safe; call
-  /// before sharing the net (Train / Deserialize do it automatically).
+  /// fp32 weights (kOff clears it). The const decoder forwards — the
+  /// sampling hot path — run quantized if and only if a plan is prepared,
+  /// so a net prepared with kOff is bit-identical to plain fp32. Building a
+  /// plan runs the mode's kernel self-check (nn::CheckQuantKernel); on a
+  /// failed check or any other error the previous plan stays. Training
+  /// always runs fp32. Not thread-safe; call before sharing the net.
   util::Status PrepareQuantizedDecoder(nn::QuantMode mode);
 
   /// Mode of the currently prepared decoder plan (kOff when none).

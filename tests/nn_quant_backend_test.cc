@@ -20,8 +20,10 @@
 //    falls back with Unimplemented on unsupported layer patterns;
 //  * a seeded end-to-end drift gate: generation under fp16/int8 moves
 //    fig2-style COUNT/SUM/AVG estimates by at most a small relative bound
-//    vs fp32, and DEEPAQP_QUANT=off with a prepared-but-inactive plan stays
-//    bit-identical to the plain fp32 run.
+//    vs fp32, and a model prepared with kOff is bit-identical to the plain
+//    fp32 run;
+//  * with the vector ISA masked, PrepareQuantized checks and serves the
+//    scalar oracle, bit-identical to the vector kernel for int8.
 
 #include "nn/kernels_quant.h"
 
@@ -421,7 +423,6 @@ TEST(QuantEndToEndTest, SamplingEstimatesDriftWithinBound) {
   EXPECT_GT(fp32_est.count, 0.0);
 
   for (QuantMode mode : {QuantMode::kFp16, QuantMode::kInt8}) {
-    ASSERT_TRUE(SetQuantMode(mode).ok());
     ASSERT_TRUE((*model)->PrepareQuantized(mode).ok());
     EXPECT_EQ((*model)->prepared_quant_mode(), mode);
     util::Rng rng(4242);
@@ -439,11 +440,10 @@ TEST(QuantEndToEndTest, SamplingEstimatesDriftWithinBound) {
     EXPECT_GT(est.count, 0.0);
   }
 
-  // A prepared-but-inactive plan must leave the fp32 path bit-identical:
-  // DEEPAQP_QUANT=off means exactly the PR 7 behavior even though the
-  // model still carries an int8 plan.
-  ASSERT_TRUE(SetQuantMode(QuantMode::kOff).ok());
-  EXPECT_EQ((*model)->prepared_quant_mode(), QuantMode::kInt8);
+  // The model's plan is the only gate: preparing kOff drops the int8 plan
+  // and generation is the plain fp32 run again, bit for bit.
+  ASSERT_TRUE((*model)->PrepareQuantized(QuantMode::kOff).ok());
+  EXPECT_EQ((*model)->prepared_quant_mode(), QuantMode::kOff);
   util::Rng rng_off(4242);
   const Estimates off_est =
       RunAggregates((*model)->Generate(n, vae::kTPlusInf, rng_off));
@@ -451,6 +451,50 @@ TEST(QuantEndToEndTest, SamplingEstimatesDriftWithinBound) {
   EXPECT_EQ(off_est.sum, fp32_est.sum);
   EXPECT_EQ(off_est.avg, fp32_est.avg);
   ASSERT_TRUE(SetQuantMode(prev).ok());
+}
+
+TEST(QuantEndToEndTest, MaskedCpuPreparesOnTheScalarOracle) {
+  // With the vector ISA masked, preparing a quantized plan reruns the
+  // kernel self-check on the scalar oracle alone, and generation then runs
+  // that oracle. int8 accumulates exactly, so its samples match the vector
+  // kernel's bit for bit. The GEMM kernel is pinned to blocked so the fp32
+  // layers run the same code on both sides.
+  const relation::Table table =
+      data::GenerateCensus({.rows = 2000, .seed = 72});
+  vae::VaeAqpOptions options;
+  options.epochs = 2;
+  options.hidden_dim = 32;
+  options.seed = 20250808;
+  auto model = vae::VaeAqpModel::Train(table, options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const GemmKernelKind kernel = ActiveGemmKernel();
+  SetGemmKernel(GemmKernelKind::kBlocked);
+  ASSERT_TRUE((*model)->PrepareQuantized(QuantMode::kInt8).ok());
+  const size_t n = 2000;
+  util::Rng rng_full(4243);
+  const Estimates full =
+      RunAggregates((*model)->Generate(n, vae::kTPlusInf, rng_full));
+
+  const util::CpuFeatures none;
+  util::SetCpuFeaturesForTest(&none);
+  const bool simd = QuantSimdAvailable(QuantMode::kInt8);
+  ASSERT_TRUE((*model)->PrepareQuantized(QuantMode::kOff).ok());
+  const util::Status prepared =
+      (*model)->PrepareQuantized(QuantMode::kInt8);
+  Estimates masked;
+  if (prepared.ok()) {
+    util::Rng rng_masked(4243);
+    masked = RunAggregates((*model)->Generate(n, vae::kTPlusInf, rng_masked));
+  }
+  util::SetCpuFeaturesForTest(nullptr);
+  SetGemmKernel(kernel);
+
+  EXPECT_FALSE(simd);
+  ASSERT_TRUE(prepared.ok()) << prepared.ToString();
+  EXPECT_EQ((*model)->prepared_quant_mode(), QuantMode::kInt8);
+  EXPECT_EQ(masked.count, full.count);
+  EXPECT_EQ(masked.sum, full.sum);
+  EXPECT_EQ(masked.avg, full.avg);
 }
 
 }  // namespace

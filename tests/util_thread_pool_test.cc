@@ -1,7 +1,5 @@
 #include "util/thread_pool.h"
 
-#include "util/flags.h"
-
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -130,14 +128,6 @@ TEST(ThreadPoolTest, GlobalPoolResize) {
   EXPECT_EQ(ran.load(), 10);
   SetGlobalThreads(0);  // back to hardware concurrency
   EXPECT_GE(GlobalThreads(), 1);
-}
-
-TEST(ThreadPoolTest, ThreadsFlagAppliesToGlobalPool) {
-  const char* argv[] = {"prog", "--threads=2"};
-  Flags flags(2, const_cast<char**>(argv));
-  ApplyThreadsFlag(flags);
-  EXPECT_EQ(GlobalThreads(), 2);
-  SetGlobalThreads(0);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/flags.h"
 #include "util/thread_pool.h"
 #include "util/topology.h"
 
@@ -163,27 +162,6 @@ TEST(PinPolicyTest, ParseAndName) {
   policy = PinPolicy::kCompact;
   EXPECT_FALSE(ParsePinPolicy("bogus", &policy).ok());
   EXPECT_EQ(policy, PinPolicy::kCompact);  // untouched on error
-}
-
-TEST(PinPolicyTest, ApplyPinFlag) {
-  const PinPolicy saved = ActivePinPolicy();
-
-  // Flags skips argv[0] (the program name), like main() argv.
-  const char* args[] = {"test", "--pin", "scatter"};
-  Flags flags(3, const_cast<char**>(args));
-  ASSERT_TRUE(ApplyPinFlag(flags).ok());
-  EXPECT_EQ(ActivePinPolicy(), PinPolicy::kScatter);
-
-  const char* bad_args[] = {"test", "--pin", "sideways"};
-  Flags bad(3, const_cast<char**>(bad_args));
-  EXPECT_FALSE(ApplyPinFlag(bad).ok());
-  EXPECT_EQ(ActivePinPolicy(), PinPolicy::kScatter);  // unchanged on error
-
-  Flags none(0, nullptr);
-  ASSERT_TRUE(ApplyPinFlag(none).ok());  // absent flag: no change
-  EXPECT_EQ(ActivePinPolicy(), PinPolicy::kScatter);
-
-  SetPinPolicy(saved);
 }
 
 CpuTopology TwoNodeTopology() {

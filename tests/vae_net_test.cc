@@ -26,20 +26,15 @@ VaeNetOptions SmallOptions() {
   return opts;
 }
 
-/// Restores the process-wide GEMM kernel and quant mode on scope exit, so a
-/// failed assertion cannot leave another backend active for later tests.
-class ScopedBackend {
+/// Restores the process-wide GEMM kernel on scope exit, so a failed
+/// assertion cannot leave another backend active for later tests.
+class ScopedKernel {
  public:
-  ScopedBackend()
-      : kernel_(nn::ActiveGemmKernel()), quant_(nn::ActiveQuantMode()) {}
-  ~ScopedBackend() {
-    nn::SetGemmKernel(kernel_);
-    EXPECT_TRUE(nn::SetQuantMode(quant_).ok());
-  }
+  ScopedKernel() : kernel_(nn::ActiveGemmKernel()) {}
+  ~ScopedKernel() { nn::SetGemmKernel(kernel_); }
 
  private:
   nn::GemmKernelKind kernel_;
-  nn::QuantMode quant_;
 };
 
 /// Random binary batch drawn from a simple two-mode distribution.
@@ -125,6 +120,28 @@ TEST(VaeNetTest, LogRatioRowsFiniteAndOrdered) {
   }
 }
 
+TEST(VaeNetTest, PreparedPlanAloneDecidesQuantizedDecode) {
+  // The net's own plan is the only gate: whatever the process-wide mode,
+  // an int8 plan changes the decoder's logits, and preparing kOff returns
+  // the fp32 logits bit for bit.
+  VaeNet net(SmallOptions());
+  util::Rng rng(23);
+  const Matrix z = net.SamplePrior(64, rng);
+  nn::ScratchArena arena;
+  Matrix fp32, int8, off;
+  net.DecodeLogitsConstInto(z, &fp32, &arena);
+  ASSERT_TRUE(net.PrepareQuantizedDecoder(nn::QuantMode::kInt8).ok());
+  net.DecodeLogitsConstInto(z, &int8, &arena);
+  ASSERT_TRUE(net.PrepareQuantizedDecoder(nn::QuantMode::kOff).ok());
+  net.DecodeLogitsConstInto(z, &off, &arena);
+  ASSERT_EQ(int8.size(), fp32.size());
+  ASSERT_EQ(off.size(), fp32.size());
+  EXPECT_NE(std::memcmp(int8.data(), fp32.data(), fp32.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(off.data(), fp32.data(), fp32.size() * sizeof(float)),
+            0);
+}
+
 TEST(VaeNetTest, LogRatioFromLogitsMatchesForwardUnderEveryBackend) {
   // Generation passes the window's decoder logits to the VRS ratio instead
   // of running the decoder a second time; the ratios must keep their bits
@@ -148,13 +165,13 @@ TEST(VaeNetTest, LogRatioFromLogitsMatchesForwardUnderEveryBackend) {
 
   std::vector<nn::GemmKernelKind> kernels = {nn::GemmKernelKind::kBlocked};
   if (nn::SimdKernelAvailable()) kernels.push_back(nn::GemmKernelKind::kSimd);
-  ScopedBackend restore;
+  ScopedKernel restore;
   int checked = 0;
   for (nn::GemmKernelKind kernel : kernels) {
     nn::SetGemmKernel(kernel);
     for (nn::QuantMode mode : {nn::QuantMode::kOff, nn::QuantMode::kFp16,
                                nn::QuantMode::kInt8}) {
-      if (!nn::SetQuantMode(mode).ok()) continue;  // self-check failed
+      if (!nn::CheckQuantKernel(mode).ok()) continue;  // self-check failed
       ASSERT_TRUE(net.PrepareQuantizedDecoder(mode).ok());
       Matrix logits, from_logits, forward;
       net.DecodeLogitsConstInto(z, &logits, &arena);

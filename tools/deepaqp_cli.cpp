@@ -35,8 +35,7 @@
 #include "data/generators.h"
 #include "encoding/tuple_encoder.h"
 #include "ensemble/ensemble_model.h"
-#include "nn/kernels.h"
-#include "nn/kernels_quant.h"
+#include "nn/runtime.h"
 #include "relation/csv.h"
 #include "server/server.h"
 #include "server/socket_client.h"
@@ -47,8 +46,6 @@
 #include "util/serialize.h"
 #include "util/snapshot.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
-#include "util/topology.h"
 #include "vae/vae_model.h"
 
 using namespace deepaqp;  // NOLINT: tool brevity
@@ -68,7 +65,8 @@ int Usage() {
       "[--flags]\n"
       "run with a command and no flags for that command's requirements\n"
       "global flags: --threads N, --pin off|compact|scatter, "
-      "--kernel blocked|simd|auto, --quant off|fp16|int8\n",
+      "--kernel blocked|simd|auto, --quant off|fp16|int8, "
+      "--failpoints SPEC\n",
       stderr);
   return 2;
 }
@@ -646,28 +644,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   util::Flags flags(argc - 1, argv + 1);
-  // --pin off|compact|scatter selects the worker-placement policy; it must
-  // precede ApplyThreadsFlag so the rebuilt pool plans placement under it.
-  // Like --kernel, the explicit flag is a hard error on unknown values
-  // (the DEEPAQP_PIN env var only warns).
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  util::ApplyThreadsFlag(flags);
-  util::ApplyFailpointsFlag(flags);
-  // --kernel blocked|simd|auto switches the GEMM backend in-process;
-  // unlike the DEEPAQP_KERNEL env (which warns and falls back), an explicit
-  // flag naming an unavailable or unknown backend is a hard error.
-  if (const util::Status st = nn::ApplyKernelFlag(flags); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  // --quant off|fp16|int8 selects the quantized decoder inference mode,
-  // with the same contract as --kernel: the DEEPAQP_QUANT env warns and
-  // falls back to fp32, an explicit flag is a hard error (including when
-  // the mode's kernel self-check fails on this CPU).
-  if (const util::Status st = nn::ApplyQuantFlag(flags); !st.ok()) {
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }

@@ -29,12 +29,11 @@
 #include "data/generators.h"
 #include "data/workload.h"
 #include "nn/kernels_quant.h"
+#include "nn/runtime.h"
 #include "relation/table.h"
 #include "util/flags.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
-#include "util/topology.h"
 #include "vae/vae_model.h"
 
 using namespace deepaqp;  // NOLINT: tool brevity
@@ -100,11 +99,10 @@ util::Result<std::map<aqp::AggFunc, double>> PerOpErrors(
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
-  if (const util::Status st = util::ApplyPinFlag(flags); !st.ok()) {
+  if (const util::Status st = nn::ApplyRuntimeFlags(flags); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
-  util::ApplyThreadsFlag(flags);
   const auto rows = static_cast<size_t>(flags.GetInt("rows", 4000));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 3));
   const auto queries = static_cast<size_t>(flags.GetInt("queries", 24));
@@ -137,15 +135,16 @@ int main(int argc, char** argv) {
     vopts.hidden_dim = 64;
     vopts.encoder.numeric_bins = 24;
     vopts.seed = 97;
-    if (const util::Status st = nn::SetQuantMode(nn::QuantMode::kOff);
-        !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 2;
-    }
     auto model = vae::VaeAqpModel::Train(table, vopts);
     if (!model.ok()) {
       std::fprintf(stderr, "train(%s) failed: %s\n", dataset.c_str(),
                    model.status().ToString().c_str());
+      return 1;
+    }
+    // The fp32 baseline, whatever mode --quant or DEEPAQP_QUANT prepared.
+    if (const util::Status st = (*model)->PrepareQuantized(nn::QuantMode::kOff);
+        !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
 
@@ -181,11 +180,6 @@ int main(int argc, char** argv) {
     }
 
     for (nn::QuantMode mode : modes) {
-      if (const util::Status st = nn::SetQuantMode(mode); !st.ok()) {
-        std::fprintf(stderr, "cannot engage quant=%s: %s\n",
-                     nn::QuantModeName(mode), st.ToString().c_str());
-        return 1;
-      }
       if (const util::Status st = (*model)->PrepareQuantized(mode);
           !st.ok()) {
         std::fprintf(stderr, "prepare quant=%s failed: %s\n",
@@ -210,7 +204,6 @@ int main(int argc, char** argv) {
         if (over) breached = true;
       }
     }
-    (void)nn::SetQuantMode(nn::QuantMode::kOff);
   }
 
   if (breached) {
